@@ -1,7 +1,7 @@
 //! Ablation benches for the design choices called out in DESIGN.md §5:
 //!
-//! * `sfi`: paper-faithful materialising SFI vs. the closed form that
-//!   exploits uniform absent-cell mass;
+//! * `sfi`: the paper-cost SFI walk over every cell of `π^(α)` vs. the
+//!   closed form that folds the uniform absent-cell mass into one term;
 //! * `expected_mi`: exact hypergeometric E[I] vs. Monte-Carlo sampling at
 //!   increasing sample counts;
 //! * `g3_path`: measure-trait g3 via contingency vs. the TANE PLI fast
@@ -22,7 +22,7 @@ fn bench_sfi(c: &mut Criterion) {
     for &n in &[1024usize, 4096] {
         let t = fixture_table(n, 11);
         let sfi = Sfi::half();
-        group.bench_with_input(BenchmarkId::new("materialising", n), &t, |b, t| {
+        group.bench_with_input(BenchmarkId::new("cell_walk", n), &t, |b, t| {
             b.iter(|| black_box(sfi.score_contingency(black_box(t))))
         });
         group.bench_with_input(BenchmarkId::new("closed_form", n), &t, |b, t| {

@@ -234,7 +234,8 @@ pub fn fig4(cfg: &Config, eval: &RwdEval) {
 }
 
 /// `table5`: per-measure runtimes and candidates completed within the
-/// budget across all relations.
+/// budget across all relations. Every measure is timed alone
+/// ([`afd_eval::score_with_budget`]), with no work shared between them.
 pub fn table5(cfg: &Config, eval: &RwdEval) {
     let total_candidates: usize = eval.relations.iter().map(|r| r.candidates.len()).sum();
     let mut table = TextTable::new(["measure", "runtime_ms", "candidates", "of_total"]);

@@ -44,6 +44,8 @@ pub mod registry;
 pub mod shannon_measures;
 pub mod violation;
 
+/// The per-batch `E[I]` memo taken by [`Measure::score_contingency_memo`].
+pub use afd_entropy::ExpectedMiMemo;
 pub use extensions::{extended_measures, RfiMcPlus};
 pub use logical_measures::{G1Prime, MuPlus, Pdep, Tau, G1};
 pub use measure::{Measure, MeasureClass, MeasureProperties, Tribool};

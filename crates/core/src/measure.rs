@@ -11,6 +11,7 @@
 //!   where `|dom(X)| < N` and `|dom(Y)| > 1` are guaranteed, so no formula
 //!   divides by zero.
 
+use afd_entropy::ExpectedMiMemo;
 use afd_relation::{ContingencyTable, Fd, Relation};
 
 /// The three classes of AFD measures (Section IV-E).
@@ -125,10 +126,16 @@ pub trait Measure: Send + Sync {
     /// empty or exactly-satisfied tables score 1, everything else is
     /// clamped into `[0, 1]`.
     fn score_contingency(&self, t: &ContingencyTable) -> f64 {
-        if t.is_empty() || t.is_exact_fd() {
-            return 1.0;
-        }
-        self.score_table(t).clamp(0.0, 1.0)
+        with_conventions(t, |t| self.score_table(t))
+    }
+
+    /// As [`Measure::score_contingency`], sharing `memo` with every other
+    /// table the caller scores through it — the batch path, where one
+    /// memo lives per worker of one request. The RFI family reads its
+    /// `E[I]` from the memo; every other measure ignores it. The score is
+    /// bit-identical to [`Measure::score_contingency`] either way.
+    fn score_contingency_memo(&self, t: &ContingencyTable, _memo: &mut ExpectedMiMemo) -> f64 {
+        self.score_contingency(t)
     }
 
     /// Scores `fd` on `rel`: builds the NULL-filtered contingency table and
@@ -136,6 +143,19 @@ pub trait Measure: Send + Sync {
     fn score(&self, rel: &Relation, fd: &Fd) -> f64 {
         self.score_contingency(&fd.contingency(rel))
     }
+}
+
+/// The paper's conventions around a raw formula: empty or
+/// exactly-satisfied tables score 1, everything else is clamped into
+/// `[0, 1]`.
+pub(crate) fn with_conventions(
+    t: &ContingencyTable,
+    formula: impl FnOnce(&ContingencyTable) -> f64,
+) -> f64 {
+    if t.is_empty() || t.is_exact_fd() {
+        return 1.0;
+    }
+    formula(t).clamp(0.0, 1.0)
 }
 
 impl std::fmt::Debug for dyn Measure {

@@ -7,10 +7,10 @@
 //! is why the paper finds them impractically slow); `SFI` smooths the
 //! joint distribution with Laplace-α before computing FI.
 
-use afd_entropy::{expected_mi_exact, shannon_y, shannon_y_given_x};
+use afd_entropy::{expected_mi_exact, shannon_y, shannon_y_given_x, ExpectedMiMemo};
 use afd_relation::ContingencyTable;
 
-use crate::measure::{Measure, MeasureClass, MeasureProperties, Tribool};
+use crate::measure::{with_conventions, Measure, MeasureClass, MeasureProperties, Tribool};
 
 /// `g1ˢ = max(1 − H(Y|X), 0)` — the Shannon counterpart of `g1`,
 /// introduced by the paper for completeness (Appendix C). Entropy in bits.
@@ -70,7 +70,7 @@ impl Measure for Fi {
 /// `RFI⁺ = max(FI − E[FI], 0)` — reliable fraction of information
 /// (Mandros et al.): FI minus its expected value under random
 /// (X;Y)-permutations. Uses the exact hypergeometric `E[I]`; **slow** —
-/// Θ(K_X·K_Y·overlap) per candidate.
+/// one Θ(overlap) inner sum per pair of distinct row and column totals.
 pub struct RfiPlus;
 
 impl Measure for RfiPlus {
@@ -91,11 +91,24 @@ impl Measure for RfiPlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        let hy = shannon_y(t);
-        let fi = 1.0 - shannon_y_given_x(t) / hy;
-        let efi = expected_mi_exact(t) / hy;
-        (fi - efi).max(0.0)
+        rfi_plus(t, expected_mi_exact(t))
     }
+
+    fn score_contingency_memo(&self, t: &ContingencyTable, memo: &mut ExpectedMiMemo) -> f64 {
+        with_conventions(t, |t| rfi_plus(t, memo.expected_mi(t)))
+    }
+}
+
+/// `RFI⁺` from `E[I(X;Y)]` in bits.
+fn rfi_plus(t: &ContingencyTable, expected_mi: f64) -> f64 {
+    let (fi, efi) = fi_and_expected(t, expected_mi);
+    (fi - efi).max(0.0)
+}
+
+/// `(FI, E[FI])` given `E[I(X;Y)]` in bits.
+fn fi_and_expected(t: &ContingencyTable, expected_mi: f64) -> (f64, f64) {
+    let hy = shannon_y(t);
+    (1.0 - shannon_y_given_x(t) / hy, expected_mi / hy)
 }
 
 /// `RFI′⁺ = max((FI − E[FI]) / (1 − E[FI]), 0)` — the paper's new
@@ -122,27 +135,38 @@ impl Measure for RfiPrimePlus {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        let hy = shannon_y(t);
-        let fi = 1.0 - shannon_y_given_x(t) / hy;
-        let efi = expected_mi_exact(t) / hy;
-        let denom = 1.0 - efi;
-        if denom <= f64::EPSILON {
-            // E[FI] = 1 can only arise for (numerically) key-like X; weak
-            // evidence by definition.
-            return 0.0;
-        }
-        ((fi - efi) / denom).max(0.0)
+        rfi_prime_plus(t, expected_mi_exact(t))
     }
+
+    fn score_contingency_memo(&self, t: &ContingencyTable, memo: &mut ExpectedMiMemo) -> f64 {
+        with_conventions(t, |t| rfi_prime_plus(t, memo.expected_mi(t)))
+    }
+}
+
+/// `RFI′⁺` from `E[I(X;Y)]` in bits.
+fn rfi_prime_plus(t: &ContingencyTable, expected_mi: f64) -> f64 {
+    let (fi, efi) = fi_and_expected(t, expected_mi);
+    let denom = 1.0 - efi;
+    if denom <= f64::EPSILON {
+        // E[FI] = 1 can only arise for (numerically) key-like X; weak
+        // evidence by definition.
+        return 0.0;
+    }
+    ((fi - efi) / denom).max(0.0)
 }
 
 /// `SFI_α = FI(π^{(α)}_{XY}(R))` — smoothed fraction of information
 /// (Pennerath et al.): Laplace-smooths *every* cell of `dom(X) × dom(Y)`
 /// by `α` and computes FI on the result.
 ///
-/// The default scorer materialises the dense smoothed table, faithfully
-/// reproducing the cost the paper observed (`π^{(α)}` can be many times
-/// larger than `R`). [`sfi_closed_form`] computes the same value in
-/// O(nonzero + K_X) by exploiting that all absent cells carry equal mass —
+/// The scorer walks every cell of `π^{(α)}` — Θ(K_X·K_Y), the cost class
+/// the paper observed (`π^{(α)}` can be many times larger than `R`) —
+/// but never materialises it. Each sparse row is walked in `y` order; the
+/// absent cells of a row all carry mass `α`, so their entropy term is
+/// computed once per row and subtracted once per absent cell, in the
+/// same order and with the same bits as a dense `K_X × K_Y` loop would.
+/// [`sfi_closed_form`] folds those repeated subtractions into one
+/// multiplication: value-equal in O(nonzero + K_X), but not bit-equal —
 /// the `ablation_sfi` bench compares the two.
 pub struct Sfi {
     alpha: f64,
@@ -187,33 +211,37 @@ impl Measure for Sfi {
         }
     }
     fn score_table(&self, t: &ContingencyTable) -> f64 {
-        // Materialise the dense smoothed matrix (paper-faithful cost) for
-        // the explicit groups; implicit singleton groups (stripped
-        // tables) contribute a closed-form per-row term — every implicit
-        // row has one cell of count 1 and `ky − 1` absent cells,
-        // regardless of which Y value it carries.
+        // Explicit groups are walked cell by cell; implicit singleton
+        // groups (stripped tables) contribute a closed-form per-row term —
+        // every implicit row has one cell of count 1 and `ky − 1` absent
+        // cells, regardless of which Y value it carries.
+        let alpha = self.alpha;
         let (kx, ky) = (t.n_x(), t.n_y());
-        let kx_explicit = t.n_explicit_x();
-        let mut dense = vec![self.alpha; kx_explicit * ky];
-        for (i, j, c) in t.cells() {
-            dense[i * ky + j] += c as f64;
-        }
-        let n = t.n() as f64 + self.alpha * (kx * ky) as f64;
+        let n = t.n() as f64 + alpha * (kx * ky) as f64;
         let mut hy = 0.0;
         for j in 0..ky {
-            let b = t.col_totals()[j] as f64 + self.alpha * kx as f64;
+            let b = t.col_totals()[j] as f64 + alpha * kx as f64;
             let p = b / n;
             hy -= p * p.log2();
         }
         let mut hyx = 0.0;
-        for i in 0..kx_explicit {
-            let a = t.row_totals()[i] as f64 + self.alpha * ky as f64;
-            for j in 0..ky {
-                let c = dense[i * ky + j];
-                hyx -= (c / n) * (c / a).log2();
+        for i in 0..t.n_explicit_x() {
+            let a = t.row_totals()[i] as f64 + alpha * ky as f64;
+            let absent = (alpha / n) * (alpha / a).log2();
+            let mut next = 0;
+            for &(j, c) in t.row(i) {
+                for _ in next..j as usize {
+                    hyx -= absent;
+                }
+                let cs = alpha + c as f64;
+                hyx -= (cs / n) * (cs / a).log2();
+                next = j as usize + 1;
+            }
+            for _ in next..ky {
+                hyx -= absent;
             }
         }
-        hyx += sfi_implicit_hyx(t.implicit_singletons(), ky, self.alpha, n);
+        hyx += sfi_implicit_hyx(t.implicit_singletons(), ky, alpha, n);
         if hy <= f64::EPSILON {
             return 1.0;
         }
@@ -231,7 +259,7 @@ impl Measure for Sfi {
 /// Smoothed `H(Y|X)` contribution of `implicit` singleton X-groups:
 /// each implicit row carries one present cell of count 1 and `ky − 1`
 /// absent cells, regardless of which Y value it holds. Shared by both
-/// SFI scorers so their "identical value" contract cannot drift.
+/// SFI scorers so their "equal value" contract cannot drift.
 fn sfi_implicit_hyx(implicit: u64, ky: usize, alpha: f64, n: f64) -> f64 {
     if implicit == 0 {
         return 0.0;
@@ -243,9 +271,9 @@ fn sfi_implicit_hyx(implicit: u64, ky: usize, alpha: f64, n: f64) -> f64 {
     implicit as f64 * per_row
 }
 
-/// Closed-form SFI: identical value to [`Sfi::score_table`] without
-/// materialising the dense matrix. Absent cells of row `i` all carry mass
-/// `α`, so their contribution is `(K_Y − m_i) · (α/N′) log2(α/a_i′)`.
+/// Closed-form SFI: the value of [`Sfi::score_table`] (up to rounding)
+/// without walking the absent cells. Absent cells of row `i` all carry
+/// mass `α`, so their contribution is `(K_Y − m_i) · (α/N′) log2(α/a_i′)`.
 pub fn sfi_closed_form(t: &ContingencyTable, alpha: f64) -> f64 {
     assert!(alpha > 0.0, "SFI requires α > 0");
     let (kx, ky) = (t.n_x(), t.n_y());

@@ -94,7 +94,7 @@ proptest! {
         }
     }
 
-    /// SFI closed form agrees with the materialising scorer everywhere.
+    /// SFI closed form agrees with the walking scorer everywhere.
     #[test]
     fn sfi_closed_form_agrees(c in counts(), alpha in prop::sample::select(vec![0.5f64, 1.0, 2.0])) {
         prop_assume!(nonempty(&c));

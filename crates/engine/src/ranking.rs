@@ -12,11 +12,22 @@
 //! all `m(m−1)` linear candidates this cuts the encoding work from
 //! `2m(m−1)` passes over the rows to `m`.
 //!
+//! Scoring shares work too. Each worker of a request owns one
+//! [`ExpectedMiMemo`] and scores every measure through
+//! [`Measure::score_contingency_memo`]: RFI⁺ and RFI′⁺ read the
+//! hypergeometric inner sums of `E[I]` from it by `(N, a, b)`, so sums
+//! shared between candidates — and between the two measures on one table
+//! — are computed once per worker. Scores stay bit-identical to the
+//! per-table [`Measure::score_contingency`] path. This sharing is
+//! specific to the matrix: Table V (`afd table5`,
+//! `afd_eval::score_with_budget`) still times each measure alone, with no
+//! memo across measures or candidates.
+//!
 //! This module is deliberately crate-private: [`crate::AfdEngine::matrix`]
 //! is the one public way in, so no caller can bypass the request layer.
 
-use afd_core::Measure;
-use afd_parallel::par_map;
+use afd_core::{ExpectedMiMemo, Measure};
+use afd_parallel::{par_map, par_map_with};
 use afd_relation::{AttrSet, EncodingCache, Fd, Relation};
 
 /// Encodes every distinct attribute set of `candidates` exactly once
@@ -39,8 +50,8 @@ pub(crate) fn warm_cache(rel: &Relation, candidates: &[Fd], threads: usize) -> E
 /// Scores `[measure][candidate]` for all `candidates` on `rel`.
 ///
 /// `threads = 1` runs inline; larger values fan candidates out over a
-/// scoped thread pool. Results are deterministic regardless of thread
-/// count.
+/// scoped thread pool, one [`ExpectedMiMemo`] per worker. Results are
+/// deterministic regardless of thread count.
 pub(crate) fn score_matrix(
     rel: &Relation,
     measures: &[Box<dyn Measure>],
@@ -50,13 +61,13 @@ pub(crate) fn score_matrix(
     let n = candidates.len();
     let m = measures.len();
     let cache = warm_cache(rel, candidates, threads);
-    let cols = par_map(candidates, threads, |_, fd| {
+    let cols = par_map_with(candidates, threads, ExpectedMiMemo::new, |memo, _, fd| {
         let t = cache
             .contingency_prewarmed(fd)
             .expect("all candidate sides warmed above");
         measures
             .iter()
-            .map(|measure| measure.score_contingency(&t))
+            .map(|measure| measure.score_contingency_memo(&t, memo))
             .collect::<Vec<f64>>()
     });
     let mut out = vec![vec![0.0; n]; m];
@@ -100,7 +111,13 @@ mod tests {
         let measures = all_measures();
         let seq = score_matrix(&rel, &measures, &cands, 1);
         let par = score_matrix(&rel, &measures, &cands, 4);
-        assert_eq!(seq, par);
+        assert_eq!(bits(&seq), bits(&par));
+    }
+
+    fn bits(m: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        m.iter()
+            .map(|row| row.iter().map(|s| s.to_bits()).collect())
+            .collect()
     }
 
     #[test]
@@ -108,16 +125,18 @@ mod tests {
         let rel = small_noisy_relation();
         let cands = violated_candidates(&rel);
         let measures = all_measures();
-        let m = score_matrix(&rel, &measures, &cands, 2);
-        for (ci, fd) in cands.iter().enumerate() {
-            let t = fd.contingency(&rel);
-            for (mi, measure) in measures.iter().enumerate() {
-                assert_eq!(
-                    m[mi][ci],
-                    measure.score_contingency(&t),
-                    "{}",
-                    measure.name()
-                );
+        for threads in [1, 2] {
+            let m = score_matrix(&rel, &measures, &cands, threads);
+            for (ci, fd) in cands.iter().enumerate() {
+                let t = fd.contingency(&rel);
+                for (mi, measure) in measures.iter().enumerate() {
+                    assert_eq!(
+                        m[mi][ci].to_bits(),
+                        measure.score_contingency(&t).to_bits(),
+                        "{} at {threads} threads",
+                        measure.name()
+                    );
+                }
             }
         }
     }

@@ -11,10 +11,20 @@
 //!        (n/N) · log2(N·n / (a_i·b_j)) · P_hyp(n; a_i, b_j, N)
 //! ```
 //!
-//! This is Θ(K_X · K_Y · overlap) work — intrinsically expensive, which is
-//! exactly why the paper finds RFI-family measures impractically slow
-//! (Table V). A Monte-Carlo estimator is provided as the cheap alternative
-//! (ablation `expected_mi` in the bench crate).
+//! The computation is split in two: one walk over the histograms of the
+//! row and column totals, and one hypergeometric inner sum per distinct
+//! margin pair, a function of `(N, a, b)` alone. The inner sums are
+//! Θ(overlap) each, so a table costs Θ(distinct a × distinct b × overlap)
+//! — intrinsically expensive, which is why the paper finds RFI-family
+//! measures impractically slow (Table V).
+//!
+//! [`expected_mi_exact`] scores one table on its own. An
+//! [`ExpectedMiMemo`] instead keeps the inner sums keyed by `(N, a, b)`
+//! across tables, so candidates that share `N` and margin sizes (and RFI′⁺
+//! scored after RFI⁺ on the same table) reuse them. Both run the same walk
+//! and the same inner-sum function, so their results are bit-identical.
+//! A Monte-Carlo estimator is provided as the cheap approximate
+//! alternative (ablation `expected_mi` in the bench crate).
 
 use afd_relation::ContingencyTable;
 use std::collections::HashMap;
@@ -31,66 +41,126 @@ pub fn expected_mi_exact(t: &ContingencyTable) -> f64 {
         return 0.0;
     }
     let lf = LogFactorial::new(n as usize);
-    // Histogram the margins: many groups share the same size. Sorted so
-    // the floating-point summation order — and hence the result bits —
-    // never depends on hash iteration order.
-    let hist = |totals: &[u64]| -> Vec<(u64, u64)> {
-        let mut h: HashMap<u64, u64> = HashMap::new();
-        for &v in totals {
-            *h.entry(v).or_insert(0) += 1;
+    margin_walk(t, |a, b| hypergeometric_inner(&lf, n, a, b))
+}
+
+/// Memoised [`expected_mi_exact`]: the hypergeometric inner sums are kept
+/// by `(N, a, b)` for the life of the memo, and the log-factorial table
+/// grows to the largest `N` seen. Every result is bit-identical to
+/// [`expected_mi_exact`] on the same table, in any order of tables.
+///
+/// Meant to live for one batch of tables (one worker of one request);
+/// it holds one entry per distinct `(N, a, b)` it has seen.
+#[derive(Debug, Default)]
+pub struct ExpectedMiMemo {
+    lf: LogFactorial,
+    inner: HashMap<(u64, u64, u64), f64>,
+}
+
+impl ExpectedMiMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// `E[I(X;Y)]` in bits, bit-identical to [`expected_mi_exact`].
+    pub fn expected_mi(&mut self, t: &ContingencyTable) -> f64 {
+        let n = t.n();
+        if n == 0 {
+            return 0.0;
         }
-        let mut v: Vec<(u64, u64)> = h.into_iter().collect();
-        v.sort_unstable();
-        v
-    };
+        self.lf.grow_to(n as usize);
+        let ExpectedMiMemo { lf, inner } = self;
+        margin_walk(t, |a, b| {
+            *inner
+                .entry((n, a, b))
+                .or_insert_with(|| hypergeometric_inner(lf, n, a, b))
+        })
+    }
+
+    /// Number of memoised inner sums.
+    pub fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    /// `true` iff no inner sum is memoised yet.
+    pub fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+}
+
+/// The walk over the margin histograms of `t` (`N > 0`): sums
+/// `count(a) · count(b) · inner(a, b)` over every pair of distinct row
+/// total `a` and column total `b`, in ascending `(a, b)` order so the
+/// result bits never depend on how the histograms were built.
+fn margin_walk(t: &ContingencyTable, mut inner: impl FnMut(u64, u64) -> f64) -> f64 {
+    let n = t.n();
     // Implicit singleton groups (stripped-lattice tables) are row totals
     // of 1 that are not materialised; folding them into the histogram
     // reproduces the full-codes histogram exactly — the expectation only
     // depends on the margins, so RFI-family scores stay bit-identical.
-    let mut row_hist = hist(t.row_totals());
+    let mut row_hist = margin_histogram(t.row_totals());
     let implicit = t.implicit_singletons();
     if implicit > 0 {
-        match row_hist.iter_mut().find(|e| e.0 == 1) {
-            Some(e) => e.1 += implicit,
-            None => {
-                row_hist.push((1, implicit));
-                row_hist.sort_unstable();
-            }
+        match row_hist.first_mut() {
+            Some(e) if e.0 == 1 => e.1 += implicit,
+            _ => row_hist.insert(0, (1, implicit)),
         }
     }
-    let col_hist = hist(t.col_totals());
-    let nf = n as f64;
-    let ln2 = std::f64::consts::LN_2;
+    let col_hist = margin_histogram(t.col_totals());
     let mut total = 0.0f64;
     for &(a, ca) in &row_hist {
         for &(b, cb) in &col_hist {
-            let lo = 1.max((a + b).saturating_sub(n));
-            let hi = a.min(b);
-            if lo > hi {
+            if 1.max((a + b).saturating_sub(n)) > a.min(b) {
                 continue;
             }
-            // ln P(lo) via log-factorials, then the standard recurrence.
-            let mut ln_p = lf.ln_choose(b, lo) + lf.ln_choose(n - b, a - lo) - lf.ln_choose(n, a);
-            let mut inner = 0.0f64;
-            let mut k = lo;
-            loop {
-                let p = ln_p.exp();
-                let term = (k as f64 / nf) * ((nf * k as f64) / (a as f64 * b as f64)).ln() / ln2;
-                inner += term * p;
-                if k == hi {
-                    break;
-                }
-                // P(k+1)/P(k) = (a−k)(b−k) / ((k+1)(N−a−b+k+1)).
-                // k ≥ a+b−N, so N+k+1−a−b ≥ 1 and the u64 arithmetic below
-                // cannot underflow (unlike the naive left-to-right order).
-                ln_p += (((a - k) * (b - k)) as f64).ln()
-                    - (((k + 1) * (n + k + 1 - a - b)) as f64).ln();
-                k += 1;
-            }
-            total += (ca * cb) as f64 * inner;
+            total += (ca * cb) as f64 * inner(a, b);
         }
     }
     total.max(0.0)
+}
+
+/// `(value, multiplicity)` of every distinct margin total, ascending.
+fn margin_histogram(totals: &[u64]) -> Vec<(u64, u64)> {
+    let mut sorted = totals.to_vec();
+    sorted.sort_unstable();
+    let mut hist: Vec<(u64, u64)> = Vec::new();
+    for v in sorted {
+        match hist.last_mut() {
+            Some(e) if e.0 == v => e.1 += 1,
+            _ => hist.push((v, 1)),
+        }
+    }
+    hist
+}
+
+/// The hypergeometric inner sum for one margin pair:
+/// `Σ_k (k/N) · log2(N·k / (a·b)) · P_hyp(k; a, b, N)` over the support
+/// `max(1, a+b−N) ..= min(a, b)`, which must be non-empty. `lf` must
+/// cover `N`.
+fn hypergeometric_inner(lf: &LogFactorial, n: u64, a: u64, b: u64) -> f64 {
+    let nf = n as f64;
+    let ln2 = std::f64::consts::LN_2;
+    let lo = 1.max((a + b).saturating_sub(n));
+    let hi = a.min(b);
+    // ln P(lo) via log-factorials, then the standard recurrence.
+    let mut ln_p = lf.ln_choose(b, lo) + lf.ln_choose(n - b, a - lo) - lf.ln_choose(n, a);
+    let mut inner = 0.0f64;
+    let mut k = lo;
+    loop {
+        let p = ln_p.exp();
+        let term = (k as f64 / nf) * ((nf * k as f64) / (a as f64 * b as f64)).ln() / ln2;
+        inner += term * p;
+        if k == hi {
+            break;
+        }
+        // P(k+1)/P(k) = (a−k)(b−k) / ((k+1)(N−a−b+k+1)).
+        // k ≥ a+b−N, so N+k+1−a−b ≥ 1 and the u64 arithmetic below
+        // cannot underflow (unlike the naive left-to-right order).
+        ln_p += (((a - k) * (b - k)) as f64).ln() - (((k + 1) * (n + k + 1 - a - b)) as f64).ln();
+        k += 1;
+    }
+    inner
 }
 
 /// Approximate work estimate of [`expected_mi_exact`] — used by the

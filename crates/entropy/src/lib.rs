@@ -8,7 +8,8 @@
 //! * [`logical`]: `h(X)`, `h(Y|X)`, `E_x[h(Y|x)]`, `pdep`, and the
 //!   closed-form `E[pdep]` / `E[τ]` of Theorem 1;
 //! * [`expected_mi`]: exact `E[I(X;Y)]` under random (X;Y)-permutations
-//!   (the hypergeometric sum) plus a Monte-Carlo estimator;
+//!   (the hypergeometric sum), a bit-identical memo of its inner sums for
+//!   batches of tables, and a Monte-Carlo estimator;
 //! * [`permutation`]: generic Monte-Carlo expectation of any contingency
 //!   statistic under the permutation null.
 //!
@@ -28,7 +29,9 @@ pub mod logical;
 pub mod permutation;
 pub mod shannon;
 
-pub use expected_mi::{expected_mi_cost, expected_mi_exact, expected_mi_monte_carlo};
+pub use expected_mi::{
+    expected_mi_cost, expected_mi_exact, expected_mi_monte_carlo, ExpectedMiMemo,
+};
 pub use lfact::LogFactorial;
 pub use logical::{
     expected_conditional_logical, expected_pdep, expected_tau, logical_x, logical_y,

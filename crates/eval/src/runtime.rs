@@ -5,6 +5,12 @@
 //! only 250. [`score_with_budget`] reproduces those semantics at any
 //! scale: each measure scores candidates in the given order until its
 //! budget is spent, recording per-candidate scores and total elapsed time.
+//!
+//! Each measure is timed alone through the per-table
+//! `Measure::score_contingency` path: no `E[I]` memo is shared across
+//! measures or candidates here (only the engine's `MatrixRequest` path
+//! shares one), so RFI⁺ and RFI′⁺ each pay their full hypergeometric
+//! cost, as in the paper's Table V.
 
 use afd_core::Measure;
 use afd_relation::ContingencyTable;

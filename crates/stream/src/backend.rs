@@ -282,11 +282,17 @@ impl<T: Transport> RemoteShard<T> {
 
     /// Builds the typed transport error for a failed protocol step:
     /// shard attribution plus the transport's diagnostics (the worker
-    /// stderr tail over stdio).
+    /// stderr tail over stdio). A worker whose output fails verification
+    /// is as lost as one whose pipe broke, and typically exits right
+    /// after writing it, so the diagnostics wait for its exit in both
+    /// cases: stderr it wrote just before failing is then always in the
+    /// tail.
     fn fail(&mut self, kind: TransportErrorKind) -> StreamError {
         let worker_died = matches!(
             kind,
-            TransportErrorKind::Read(_) | TransportErrorKind::Write(_)
+            TransportErrorKind::Read(_)
+                | TransportErrorKind::Write(_)
+                | TransportErrorKind::Decode(_)
         );
         let stderr = self.transport.diagnostics(worker_died);
         let mut err = TransportError::of_kind(kind).with_stderr(stderr);
@@ -401,11 +407,22 @@ impl TcpShard {
     ///
     /// # Errors
     /// [`StreamError::Transport`] when the address is malformed, nobody
-    /// accepts, or the Init handshake fails.
+    /// accepts, or the Init handshake fails. A peer that closes or resets
+    /// the connection before answering Init never came up as a worker, so
+    /// that is a [`TransportErrorKind::Spawn`] failure like a refused
+    /// dial, not a mid-session read or write fault.
     pub fn connect(addr: &str, schema: &Schema) -> Result<Self, StreamError> {
         let transport = TcpTransport::connect(addr)
             .map_err(|e| StreamError::Transport(TransportError::of_kind(net_kind(e))))?;
-        Self::from_transport(transport, schema)
+        Self::from_transport(transport, schema).map_err(|e| match e {
+            StreamError::Transport(mut te) => {
+                if let TransportErrorKind::Read(m) | TransportErrorKind::Write(m) = &te.kind {
+                    te.kind = TransportErrorKind::Spawn(format!("handshake with {addr}: {m}"));
+                }
+                StreamError::Transport(te)
+            }
+            other => other,
+        })
     }
 
     /// Drops the connection without redialing — the test hook that
@@ -680,12 +697,13 @@ mod tests {
 
     #[test]
     fn tcp_connect_failure_is_typed_spawn() {
-        // Bind-then-drop yields a port with (very likely) no listener;
-        // the failed dial must classify as a spawn-stage failure.
-        let addr = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
+        // The listener stays bound for the whole test, so no concurrent
+        // test can take its port. Its one connection is accepted and
+        // dropped unanswered: a peer that goes away before the Init
+        // handshake completes is a spawn-stage failure.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || drop(listener.accept()));
         let schema = Schema::new(["X", "Y"]).unwrap();
         match TcpShard::connect(&addr.to_string(), &schema) {
             Err(StreamError::Transport(te)) => {
@@ -693,6 +711,7 @@ mod tests {
             }
             other => panic!("expected transport error, got {other:?}"),
         }
+        peer.join().unwrap();
     }
 
     #[test]
