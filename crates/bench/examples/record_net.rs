@@ -11,7 +11,11 @@
 //!    through a 2-shard session on each transport (in-process threads,
 //!    stdio child processes, TCP loopback listeners), reporting p50/p99
 //!    apply latency per topology. The correctness gate asserts all
-//!    three read bit-identical scores after every delta.
+//!    three read bit-identical scores after every delta. The TCP
+//!    session also counts its reply bytes: the full resync a subscribe
+//!    over the seeded rows ships, and the state patch each churn apply
+//!    ships. The run exits 1 if any apply's reply exceeds 1/8 of the
+//!    resync's — a byte count repeats exactly, so this bar cannot flake.
 //! 2. **Serve round-trip latency** — p50/p99 of a `Scores` request
 //!    through `ServeClient` against a loopback `ServeFront`.
 //! 3. **Connection churn** — connect/hello/census/disconnect cycles per
@@ -23,12 +27,18 @@
 
 use afd_bench::fixture_relation;
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
+use afd_net::{NetError, TcpTransport, Transport};
 use afd_relation::{AttrId, AttrSet, Fd, Relation, Schema};
 use afd_serve::{AfdServe, DurabilityConfig, ServeClient, ServeConfig, ServeFront};
-use afd_stream::{ChurnPlanner, ProcessShard, RowDelta, ShardedSession, TcpShard, WorkerCommand};
+use afd_stream::{
+    ChurnPlanner, ProcessShard, RemoteShard, RowDelta, ShardedSession, WorkerCommand,
+};
+use afd_wire::FRAME_OVERHEAD;
 use std::fmt::Write as _;
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn pct(samples: &mut [Duration], p: f64) -> Duration {
@@ -69,6 +79,49 @@ impl Drop for TcpWorker {
     }
 }
 
+/// A transport that adds the whole-frame size of every reply it
+/// receives to a shared counter.
+#[derive(Debug)]
+struct Counted<T> {
+    inner: T,
+    bytes_in: Arc<AtomicU64>,
+}
+
+impl<T: Transport> Transport for Counted<T> {
+    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        self.inner.send(frame)
+    }
+
+    fn recv(&mut self, deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
+        let reply = self.inner.recv(deadline);
+        if let Ok((_, payload)) = &reply {
+            let bytes = (FRAME_OVERHEAD + payload.len()) as u64;
+            self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
+        }
+        reply
+    }
+
+    fn reconnect(&mut self) -> Result<(), NetError> {
+        self.inner.reconnect()
+    }
+
+    fn supports_reconnect(&self) -> bool {
+        self.inner.supports_reconnect()
+    }
+
+    fn diagnostics(&mut self, likely_dead: bool) -> Vec<String> {
+        self.inner.diagnostics(likely_dead)
+    }
+
+    fn finish(&mut self, deadline: Duration) -> Result<(), NetError> {
+        self.inner.finish(deadline)
+    }
+
+    fn peer(&self) -> String {
+        self.inner.peer()
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -98,30 +151,43 @@ fn main() {
 
     // ------------------------- section 1: shard apply transport tax
     let workers = [TcpWorker::spawn(&afd), TcpWorker::spawn(&afd)];
+    let bytes_in = Arc::new(AtomicU64::new(0));
     let mut inproc = ShardedSession::new(schema.clone(), key.clone(), 2).expect("valid topology");
     let mut stdio: ShardedSession<ProcessShard> =
         ShardedSession::spawn(schema.clone(), key.clone(), 2, &afd).expect("stdio workers spawn");
-    let mut tcp: ShardedSession<TcpShard> = ShardedSession::with_backends(
+    let mut tcp = ShardedSession::with_backends(
         schema.clone(),
         key.clone(),
         workers
             .iter()
-            .map(|w| TcpShard::connect(&w.addr, &schema).expect("dial worker"))
+            .map(|w| {
+                let inner = TcpTransport::connect(&w.addr).expect("dial worker");
+                let counted = Counted {
+                    inner,
+                    bytes_in: Arc::clone(&bytes_in),
+                };
+                RemoteShard::from_transport(counted, &schema).expect("worker handshake")
+            })
             .collect(),
     )
     .expect("valid topology");
-    let ci = inproc.subscribe(fd.clone()).expect("2-attr fixture");
-    let cs = stdio.subscribe(fd.clone()).expect("2-attr fixture");
-    let ct = tcp.subscribe(fd.clone()).expect("2-attr fixture");
+    // Seed first, then subscribe: each worker's Subscribed reply is then
+    // a full resync of the seeded state.
     let seed = RowDelta::insert_only((0..fixture.n_rows()).map(|r| fixture.row(r)));
     inproc.apply(&seed).expect("seed applies");
     stdio.apply(&seed).expect("seed applies");
     tcp.apply(&seed).expect("seed applies");
+    let ci = inproc.subscribe(fd.clone()).expect("2-attr fixture");
+    let cs = stdio.subscribe(fd.clone()).expect("2-attr fixture");
+    let before = bytes_in.load(Ordering::Relaxed);
+    let ct = tcp.subscribe(fd.clone()).expect("2-attr fixture");
+    let resync_bytes = bytes_in.load(Ordering::Relaxed) - before;
 
     let mut planner = ChurnPlanner::new(&fixture);
     let mut t_inproc = Vec::with_capacity(deltas);
     let mut t_stdio = Vec::with_capacity(deltas);
     let mut t_tcp = Vec::with_capacity(deltas);
+    let mut apply_bytes = Vec::with_capacity(deltas);
     for _ in 0..deltas {
         let delta = planner.next_delta(k);
         let start = Instant::now();
@@ -130,9 +196,11 @@ fn main() {
         let start = Instant::now();
         stdio.apply(&delta).expect("valid planned delta");
         t_stdio.push(start.elapsed());
+        let before = bytes_in.load(Ordering::Relaxed);
         let start = Instant::now();
         tcp.apply(&delta).expect("valid planned delta");
         t_tcp.push(start.elapsed());
+        apply_bytes.push(bytes_in.load(Ordering::Relaxed) - before);
         let want = inproc.scores(ci);
         assert!(stdio.scores(cs).bits_eq(&want), "stdio diverged");
         assert!(tcp.scores(ct).bits_eq(&want), "tcp diverged");
@@ -156,6 +224,19 @@ fn main() {
         );
         println!("apply 2x {name:>10}  p50 {p50:>12?}  p99 {p99:>12?}");
     }
+    apply_bytes.sort_unstable();
+    let apply_bytes_p50 = apply_bytes[apply_bytes.len() / 2];
+    let apply_bytes_max = apply_bytes[apply_bytes.len() - 1];
+    let _ = writeln!(
+        json,
+        "    {{\"workload\": \"tcp_reply_bytes_2x\", \"rows\": {n}, \"delta_rows\": {k}, \
+         \"resync_bytes\": {resync_bytes}, \"apply_bytes_p50\": {apply_bytes_p50}, \
+         \"apply_bytes_max\": {apply_bytes_max}}},"
+    );
+    println!(
+        "reply bytes 2x tcp  resync {resync_bytes}  apply p50 {apply_bytes_p50}  max \
+         {apply_bytes_max}"
+    );
 
     // --------------------------- section 2: serve round-trip latency
     let spill = std::env::temp_dir().join(format!("afd-bench-net-{}", std::process::id()));
@@ -228,10 +309,22 @@ fn main() {
         json,
         "  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; shard_apply_2x = one churn delta \
          through a 2-shard session per transport (scores asserted bit-identical across all \
-         three every delta); serve_scores_rtt = framed request/response through ServeFront; \
+         three every delta); tcp_reply_bytes_2x = whole reply frames of both TCP workers for \
+         the subscribe over the seeded rows (a full resync) and per churn apply (a state \
+         patch), bar: every apply <= 1/8 of the resync; serve_scores_rtt = framed request/response through ServeFront; \
          connection_churn = connect+hello+census+disconnect cycles against the accept loop \
          with server-side counters audited\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");
     println!("wrote {out_path}");
+
+    // Bar (smoke runs too): an apply ships a patch of what it touched,
+    // not the shard state, so its reply stays far below a resync's.
+    if apply_bytes_max * 8 > resync_bytes {
+        eprintln!(
+            "FAIL: a 1/256 churn apply's replies took {apply_bytes_max} bytes, over 1/8 of the \
+             {resync_bytes}-byte resync"
+        );
+        std::process::exit(1);
+    }
 }

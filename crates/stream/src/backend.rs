@@ -14,11 +14,14 @@
 //!   `afd shard-worker` **child process** over stdin/stdout;
 //!   [`TcpShard`] (= `RemoteShard<TcpTransport>`) is an
 //!   `afd shard-worker --listen` session over a **TCP connection**,
-//!   possibly on another machine. After every mutating request the
-//!   worker ships its per-candidate state back; the coordinator decodes
-//!   it and merges via [`IncTable::merge`], **bit-identical** to the
-//!   in-process path (every maintained aggregate is an integer, so the
-//!   codec round-trip is exact).
+//!   possibly on another machine. The coordinator keeps a mirror of the
+//!   worker's per-candidate [`IncTable`]s and Y keys; after every
+//!   mutating request the worker ships a [`StatePatch`] of just the
+//!   groups and columns the request touched, which the coordinator
+//!   applies and checks against the worker's scalar aggregates, then
+//!   merges via [`IncTable::merge`] — **bit-identical** to the
+//!   in-process path (every carried value is an integer), at O(delta)
+//!   per apply rather than O(state).
 //!
 //! # Fault model and the recovery lifecycle
 //!
@@ -59,7 +62,7 @@ use crate::delta::{RowDelta, StreamError, TransportError, TransportErrorKind};
 use crate::fault::AFD_WORKER_FAULTS_ENV;
 use crate::session::{CompactionReport, StreamSession};
 use crate::table::IncTable;
-use crate::wire::{ShardState, WorkerRequestRef, WorkerResponse, KIND_REQUEST, KIND_RESPONSE};
+use crate::wire::{StatePatch, WorkerRequestRef, WorkerResponse, KIND_REQUEST, KIND_RESPONSE};
 
 pub use afd_net::WorkerCommand;
 
@@ -231,11 +234,18 @@ fn net_kind(e: NetError) -> TransportErrorKind {
 /// the transport's reader thread so every request carries a deadline
 /// ([`ShardBackend::configure`]); a hung worker surfaces as
 /// [`TransportErrorKind::Timeout`] instead of blocking the coordinator.
-/// Every mutating response carries the worker's full per-candidate
-/// state ([`ShardState`]); the coordinator reads
-/// [`ShardBackend::table`] &co from that cache, so score merges never
-/// block on the worker between deltas. The transport retains its
-/// recipe (spawn command / socket address), so the supervisor can
+/// The shard keeps a **mirror** of the worker's per-candidate
+/// [`IncTable`]s and Y side keys, and every mutating response carries a
+/// [`StatePatch`] against it: the touched X groups and column totals,
+/// the Y keys assigned since the last reply, the live row count, a
+/// generation number and the worker's scalar aggregates. The coordinator
+/// reads [`ShardBackend::table`] &co from the mirror, so score merges
+/// never block on the worker between deltas. A patch that does not fit
+/// the mirror (a generation gap, an out-of-range id, derived scalars
+/// that differ from the worker's) is a [`TransportErrorKind::Decode`]
+/// failure: the supervisor respawns the worker and restores it, which
+/// resyncs the mirror from empty. The transport retains its recipe
+/// (spawn command / socket address), so the supervisor can
 /// [`respawn`](ShardBackend::respawn) a failed incarnation.
 #[derive(Debug)]
 pub struct RemoteShard<T: Transport> {
@@ -243,7 +253,21 @@ pub struct RemoteShard<T: Transport> {
     schema: Schema,
     shard_index: Option<u32>,
     deadline: Duration,
-    state: ShardState,
+    /// Live rows in the shard, per the last patch.
+    n_live: u64,
+    /// Generation of the last applied patch; `None` once a patch was
+    /// refused, until a respawn starts a fresh incarnation.
+    generation: Option<u64>,
+    /// Per candidate, subscription order.
+    mirrors: Vec<Mirror>,
+}
+
+/// The coordinator's copy of one candidate's worker-side state.
+#[derive(Debug, Default)]
+struct Mirror {
+    table: IncTable,
+    /// Y side keys in side-id order (dense, `0..n`).
+    y_keys: Vec<Vec<Value>>,
 }
 
 /// A shard in an `afd shard-worker` child process over stdin/stdout.
@@ -264,10 +288,9 @@ impl<T: Transport> RemoteShard<T> {
             schema: schema.clone(),
             shard_index: None,
             deadline: DEFAULT_REQUEST_TIMEOUT,
-            state: ShardState {
-                n_live: 0,
-                candidates: Vec::new(),
-            },
+            n_live: 0,
+            generation: Some(0),
+            mirrors: Vec::new(),
         };
         match shard.request(&WorkerRequestRef::Init(schema))? {
             WorkerResponse::Ok => Ok(shard),
@@ -337,29 +360,85 @@ impl<T: Transport> RemoteShard<T> {
         }
     }
 
-    /// Accepts a decoded worker state only after bounds-checking its
-    /// structure — the coordinator indexes into it, and this module's
+    /// Applies a worker's patch to the mirrors, expecting `expected`
+    /// candidates afterwards. A candidate is resynced exactly when it is
+    /// new or its side ids were `renumbered` (compaction): a resync
+    /// anywhere else would leave the coordinator's Y remaps stale.
+    ///
+    /// Any patch that does not fit is refused as a typed decode failure
+    /// — the coordinator indexes into the mirrors, and this module's
     /// fault model says a corrupted worker must surface as a typed
-    /// error, never a coordinator panic.
-    fn accept_state(&mut self, state: ShardState, expected: usize) -> Result<(), StreamError> {
-        if state.candidates.len() != expected {
-            return Err(self.fail(TransportErrorKind::Decode(format!(
-                "worker state carries {} candidate(s), coordinator tracks {expected}",
-                state.candidates.len()
-            ))));
-        }
-        for (cid, cand) in state.candidates.iter().enumerate() {
-            if let Some(max) = cand.table.max_y_id() {
-                if max as usize >= cand.y_keys.len() {
-                    return Err(self.fail(TransportErrorKind::Decode(format!(
-                        "worker state for candidate {cid} references Y id {max} beyond its {} \
-                         Y key(s)",
-                        cand.y_keys.len()
-                    ))));
-                }
+    /// error, never a coordinator panic. A refused patch may have
+    /// half-applied, so every later patch is refused too until a
+    /// respawn resyncs the mirrors.
+    fn accept_patch(
+        &mut self,
+        patch: StatePatch,
+        expected: usize,
+        renumbered: bool,
+    ) -> Result<(), StreamError> {
+        match self.try_patch(patch, expected, renumbered) {
+            Ok(()) => Ok(()),
+            Err(msg) => {
+                self.generation = None;
+                Err(self.fail(TransportErrorKind::Decode(format!("state patch: {msg}"))))
             }
         }
-        self.state = state;
+    }
+
+    fn try_patch(
+        &mut self,
+        patch: StatePatch,
+        expected: usize,
+        renumbered: bool,
+    ) -> Result<(), String> {
+        let Some(generation) = self.generation else {
+            return Err("mirror out of sync since an earlier refused patch".into());
+        };
+        if patch.generation != generation + 1 {
+            return Err(format!(
+                "generation gap: expected {}, got {}",
+                generation + 1,
+                patch.generation
+            ));
+        }
+        if patch.candidates.len() != expected {
+            return Err(format!(
+                "carries {} candidate(s), coordinator tracks {expected}",
+                patch.candidates.len()
+            ));
+        }
+        if patch.n_live > u64::from(u32::MAX) {
+            return Err(format!(
+                "{} live rows exceed the row-id space",
+                patch.n_live
+            ));
+        }
+        let known = self.mirrors.len();
+        self.mirrors.resize_with(expected, Mirror::default);
+        for (cid, (cand, mirror)) in patch
+            .candidates
+            .into_iter()
+            .zip(&mut self.mirrors)
+            .enumerate()
+        {
+            if cand.reset != (renumbered || cid >= known) {
+                return Err(format!(
+                    "candidate {cid}: resync flag {} where {} expected",
+                    cand.reset, !cand.reset
+                ));
+            }
+            if cand.reset {
+                *mirror = Mirror::default();
+            }
+            mirror.y_keys.extend(cand.y_keys);
+            mirror
+                .table
+                .apply_patch(&cand.table, mirror.y_keys.len(), patch.n_live)
+                .map_err(|e| format!("candidate {cid}: {e}"))?;
+        }
+        self.n_live = patch.n_live;
+        self.generation = Some(patch.generation);
         Ok(())
     }
 }
@@ -434,10 +513,10 @@ impl TcpShard {
 
 impl<T: Transport> ShardBackend for RemoteShard<T> {
     fn subscribe(&mut self, fd: &Fd) -> Result<usize, StreamError> {
-        let expected = self.state.candidates.len() + 1;
+        let expected = self.mirrors.len() + 1;
         match self.request(&WorkerRequestRef::Subscribe(fd))? {
-            WorkerResponse::Subscribed { cid, state } => {
-                self.accept_state(state, expected)?;
+            WorkerResponse::Subscribed { cid, patch } => {
+                self.accept_patch(patch, expected, false)?;
                 Ok(cid as usize)
             }
             other => Err(self.unexpected("Subscribe", &other)),
@@ -445,27 +524,27 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
     }
 
     fn apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
-        let expected = self.state.candidates.len();
+        let expected = self.mirrors.len();
         match self.request(&WorkerRequestRef::Apply(delta))? {
-            WorkerResponse::Applied(state) => self.accept_state(state, expected),
+            WorkerResponse::Applied(patch) => self.accept_patch(patch, expected, false),
             other => Err(self.unexpected("Apply", &other)),
         }
     }
 
     fn table(&self, cid: usize) -> &IncTable {
-        &self.state.candidates[cid].table
+        &self.mirrors[cid].table
     }
 
     fn n_live(&self) -> usize {
-        self.state.n_live as usize
+        self.n_live as usize
     }
 
     fn n_y_side_ids(&self, cid: usize) -> usize {
-        self.state.candidates[cid].y_keys.len()
+        self.mirrors[cid].y_keys.len()
     }
 
     fn y_side_values(&self, cid: usize, id: u32) -> Vec<Value> {
-        self.state.candidates[cid].y_keys[id as usize].clone()
+        self.mirrors[cid].y_keys[id as usize].clone()
     }
 
     fn snapshot(&mut self) -> Result<Relation, StreamError> {
@@ -476,10 +555,10 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
     }
 
     fn compact(&mut self) -> Result<CompactionReport, StreamError> {
-        let expected = self.state.candidates.len();
+        let expected = self.mirrors.len();
         match self.request(&WorkerRequestRef::Compact)? {
-            WorkerResponse::Compacted { report, state } => {
-                self.accept_state(state, expected)?;
+            WorkerResponse::Compacted { report, patch } => {
+                self.accept_patch(patch, expected, true)?;
                 Ok(report)
             }
             other => Err(self.unexpected("Compact", &other)),
@@ -501,10 +580,9 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
             te.shard = self.shard_index;
             return Err(StreamError::Transport(te));
         }
-        self.state = ShardState {
-            n_live: 0,
-            candidates: Vec::new(),
-        };
+        self.n_live = 0;
+        self.generation = Some(0);
+        self.mirrors.clear();
         let schema = self.schema.clone();
         match self.request(&WorkerRequestRef::Init(&schema))? {
             WorkerResponse::Ok => Ok(()),
@@ -655,6 +733,8 @@ impl ShardBackend for AnyShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::TablePatch;
+    use crate::wire::CandidatePatch;
     use afd_relation::AttrId;
 
     #[test]
@@ -712,6 +792,164 @@ mod tests {
             other => panic!("expected transport error, got {other:?}"),
         }
         peer.join().unwrap();
+    }
+
+    /// A transport that answers every request from a script of replies.
+    #[derive(Debug)]
+    struct Scripted(std::collections::VecDeque<WorkerResponse>);
+
+    impl Transport for Scripted {
+        fn send(&mut self, _frame: &[u8]) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn recv(&mut self, _deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
+            use afd_wire::Encode;
+            match self.0.pop_front() {
+                Some(resp) => Ok((KIND_RESPONSE, resp.encode_to_vec())),
+                None => Err(NetError::Read("script exhausted".into())),
+            }
+        }
+
+        fn reconnect(&mut self) -> Result<(), NetError> {
+            Err(NetError::Spawn(
+                "scripted transports do not reconnect".into(),
+            ))
+        }
+
+        fn finish(&mut self, _deadline: Duration) -> Result<(), NetError> {
+            Ok(())
+        }
+
+        fn peer(&self) -> String {
+            "script".into()
+        }
+    }
+
+    /// The worker-side table every scripted shard subscribes with:
+    /// X=0 {y0 ×3}, X=1 {y0 ×1, y1 ×1}.
+    fn base_table() -> IncTable {
+        let mut t = IncTable::new();
+        for (x, y) in [(0, 0), (0, 0), (0, 0), (1, 0), (1, 1)] {
+            t.insert(x, y);
+        }
+        t
+    }
+
+    fn state_patch(generation: u64, reset: bool, y_keys: usize, table: TablePatch) -> StatePatch {
+        StatePatch {
+            generation,
+            n_live: 5,
+            candidates: vec![CandidatePatch {
+                reset,
+                y_keys: (0..y_keys as i64).map(|v| vec![Value::Int(v)]).collect(),
+                table,
+            }],
+        }
+    }
+
+    /// Subscribes a scripted shard to [`base_table`], then applies a
+    /// delta whose reply carries each of `patches` in turn.
+    fn apply_patches(patches: Vec<StatePatch>) -> Vec<Result<(), StreamError>> {
+        let mut script = std::collections::VecDeque::from([
+            WorkerResponse::Ok,
+            WorkerResponse::Subscribed {
+                cid: 0,
+                patch: state_patch(1, true, 2, base_table().full_patch()),
+            },
+        ]);
+        let n = patches.len();
+        script.extend(patches.into_iter().map(WorkerResponse::Applied));
+        let schema = Schema::new(["X", "Y"]).unwrap();
+        let mut shard = RemoteShard::from_transport(Scripted(script), &schema).unwrap();
+        shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        assert_eq!(shard.table(0), &base_table());
+        (0..n)
+            .map(|_| shard.apply(&RowDelta::delete_only([0])))
+            .collect()
+    }
+
+    fn assert_decode(result: &Result<(), StreamError>, needle: &str) {
+        match result {
+            Err(StreamError::Transport(te)) => match &te.kind {
+                TransportErrorKind::Decode(msg) => {
+                    assert!(msg.contains(needle), "{msg:?} lacks {needle:?}");
+                }
+                other => panic!("expected a Decode error, got {other:?}"),
+            },
+            other => panic!("expected a Decode error, got {other:?}"),
+        }
+    }
+
+    fn patch_of(groups: Vec<(u32, Vec<(u32, u64)>)>, cols: Vec<(u32, u64)>) -> TablePatch {
+        TablePatch {
+            groups,
+            cols,
+            check: base_table().check_scalars(),
+        }
+    }
+
+    #[test]
+    fn honest_patch_applies_to_the_mirror() {
+        let mut worker = base_table();
+        worker.delete(1, 1);
+        let patch = state_patch(2, false, 0, worker.patch(&[1], &[1]));
+        assert!(apply_patches(vec![patch])[0].is_ok());
+    }
+
+    #[test]
+    fn patch_removing_an_unknown_x_group_is_decode() {
+        let results = apply_patches(vec![
+            state_patch(2, false, 0, patch_of(vec![(7, vec![])], vec![])),
+            // The mirror stays refused until a respawn resyncs it.
+            state_patch(3, false, 0, patch_of(vec![], vec![])),
+        ]);
+        assert_decode(&results[0], "removes unknown X group 7");
+        assert_decode(&results[1], "out of sync");
+    }
+
+    #[test]
+    fn patch_with_a_count_underflow_is_decode() {
+        // Column 0 drops from 4 to 1 while its cells still hold 4.
+        let patch = patch_of(vec![], vec![(0, 1)]);
+        assert_decode(
+            &apply_patches(vec![state_patch(2, false, 0, patch)])[0],
+            "under- or overflows",
+        );
+    }
+
+    #[test]
+    fn patch_with_a_y_id_beyond_the_keys_is_decode() {
+        let patch = patch_of(vec![(0, vec![(2, 3)])], vec![]);
+        assert_decode(
+            &apply_patches(vec![state_patch(2, false, 0, patch)])[0],
+            "Y id 2 beyond the 2 Y key(s)",
+        );
+    }
+
+    #[test]
+    fn resync_outside_subscribe_or_compaction_is_decode() {
+        let patch = state_patch(2, true, 2, base_table().full_patch());
+        assert_decode(&apply_patches(vec![patch])[0], "resync flag true");
+    }
+
+    #[test]
+    fn patch_after_a_generation_gap_is_decode() {
+        let patch = patch_of(vec![], vec![]);
+        assert_decode(
+            &apply_patches(vec![state_patch(3, false, 0, patch)])[0],
+            "generation gap: expected 2, got 3",
+        );
+    }
+
+    #[test]
+    fn patch_with_mismatched_scalars_is_decode() {
+        let mut patch = patch_of(vec![], vec![]);
+        patch.check[0] += 1;
+        assert_decode(
+            &apply_patches(vec![state_patch(2, false, 0, patch)])[0],
+            "scalar check failed",
+        );
     }
 
     #[test]

@@ -47,14 +47,18 @@
 //! * [`ProcessShard`]: an `afd shard-worker` **child process** (spawned
 //!   via [`WorkerCommand`]) speaking the `afd-wire` protocol over its
 //!   stdin/stdout. Every frame is length-prefixed, versioned and
-//!   FNV-checksummed; each applied delta slice comes back as the
-//!   worker's full per-candidate state ([`wire::ShardState`]: the
-//!   [`IncTable`] merge inputs plus value-level Y side keys), which the
-//!   coordinator decodes and merges through the same
-//!   [`IncTable::merge`] as in-process shards. All maintained
-//!   aggregates are integers, so the codec round-trip is exact and the
-//!   merged reads are **bit-identical** across backends — pinned by
-//!   process-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`
+//!   FNV-checksummed. The coordinator mirrors each worker's
+//!   per-candidate [`IncTable`]s and value-level Y side keys; each
+//!   applied delta slice comes back as a [`wire::StatePatch`] of only
+//!   the X groups and column totals it touched (plus new Y keys, a
+//!   generation number and the worker's scalar aggregates as a check),
+//!   so a remote apply costs O(delta) on both ends, not O(state). A
+//!   resync after a subscribe or a compaction is the same patch against
+//!   an empty mirror. The mirrors merge through the same
+//!   [`IncTable::merge`] as in-process shards; every carried value is an
+//!   integer, so the merged reads are **bit-identical** across backends
+//!   — pinned by a worker-over-pipes mirror proptest for N ∈ {1, 2, 3}
+//!   and by process-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`
 //!   integration tests).
 //!
 //! ## Fault model: supervised recovery, deadlines, fault injection
@@ -139,6 +143,6 @@ pub use session::{
     plis_equal, tables_equal, CompactionReport, IncrementalRelation, ScoreDiff, StreamSession,
 };
 pub use shard::{DeltaRouter, ShardedSession};
-pub use table::{IncTable, StreamScores};
+pub use table::{IncTable, StreamScores, TablePatch};
 pub use wire::{SessionSnapshot, SnapshotStats};
 pub use worker::{run_worker, run_worker_listener, run_worker_with_fault};

@@ -357,6 +357,37 @@ impl StreamSession {
             .collect()
     }
 
+    /// The X and Y side ids that log slots `slots` count in candidate
+    /// `cid`'s table, each sorted and deduplicated — after an
+    /// [`StreamSession::apply`], the deleted slots and the appended ones
+    /// name exactly the groups and columns the delta touched (a deleted
+    /// slot keeps its side ids; a slot with a NULL on either side counts
+    /// nowhere). The apply path itself never tracks them, so sessions
+    /// that do not ship patches pay nothing.
+    ///
+    /// # Panics
+    /// Panics if `cid` or a slot is out of range (engine bug).
+    pub fn counted_side_ids(
+        &self,
+        cid: usize,
+        slots: impl IntoIterator<Item = usize>,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let t = &self.tracked[cid];
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for slot in slots {
+            let (xi, yj) = (t.row_x[slot], t.row_y[slot]);
+            if xi != NULL_CODE && yj != NULL_CODE {
+                xs.push(xi);
+                ys.push(yj);
+            }
+        }
+        for ids in [&mut xs, &mut ys] {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        (xs, ys)
+    }
+
     /// Applies one delta: tombstones `delta.deletes`, appends
     /// `delta.inserts`, patches every tracked candidate's structures, and
     /// returns one [`ScoreDiff`] per candidate (subscription order).

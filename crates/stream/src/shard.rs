@@ -405,10 +405,11 @@ struct ShardedCandidate {
 /// * `ShardedSession<ProcessShard>` (via [`ShardedSession::spawn`])
 ///   drives one `afd shard-worker` child process per shard over the
 ///   checksummed `afd-wire` stdin/stdout protocol: the coordinator
-///   routes encoded delta slices out, decodes each worker's refreshed
-///   [`IncTable`] state back, and merges through the existing
+///   routes encoded delta slices out, applies each worker's state patch
+///   (the touched groups and columns only) to its mirror of the
+///   worker's [`IncTable`]s, and merges through the existing
 ///   [`IncTable::merge`] — **bit-identical** to the in-process path
-///   (every maintained aggregate is an integer; the codec is exact).
+///   (every carried value is an integer; the codec is exact).
 ///
 /// `apply` routes the delta ([`DeltaRouter`]), fans the per-shard slices
 /// across `afd-parallel` scoped threads, then refreshes each candidate's

@@ -134,19 +134,6 @@ impl IncTable {
         self.sum_row_max
     }
 
-    /// The largest Y side id this table references (cells and column
-    /// totals) — what a coordinator bounds-checks a decoded shard table
-    /// against before handing it a Y remap slice.
-    pub fn max_y_id(&self) -> Option<u32> {
-        let cols = self.col_totals.keys().copied().max();
-        let cells = self
-            .groups
-            .values()
-            .flat_map(|g| g.ys.keys().copied())
-            .max();
-        cols.into_iter().chain(cells).max()
-    }
-
     /// `true` iff the (NULL-filtered) FD holds exactly: every X-group
     /// carries a single Y value. Vacuously true when empty.
     pub fn is_exact_fd(&self) -> bool {
@@ -509,114 +496,289 @@ impl ScoreAggregates<'_> {
     }
 }
 
-// ------------------------------------------------------------- wire form
+// ------------------------------------------------------------ state patch
 
-/// `IncTable` is the unit the coordinator⇄worker wire protocol moves:
-/// after every applied delta slice, a process-backed shard ships its
-/// tables back for [`IncTable::merge`] / [`IncTable::merged_scores`].
+/// The change to one [`IncTable`]: the new value of every X group and
+/// column total the change touched, plus the sender's scalar aggregates
+/// as a check.
 ///
-/// Layout: `n`, then the X-groups **sorted by local id** (each with its
-/// total/sq/max and its `(y, count)` cells sorted by `y`), the column
-/// totals sorted by `y`, the six scalar aggregates, and the four count
-/// histograms in ascending key order. Sorting makes the encoding
-/// canonical: two equal tables produce identical bytes. Every maintained
-/// aggregate is an integer, so the round-trip is exact and merged scores
-/// read from a decoded table are **bit-identical** to ones read from the
-/// original.
-impl Encode for IncTable {
+/// A shard worker ships one per candidate after every mutating request
+/// ([`crate::wire::StatePatch`]), and the coordinator applies it to its
+/// mirror of the worker's table ([`IncTable::apply_patch`]) — O(touched),
+/// not O(state). A full resync is the same form against an empty table
+/// ([`IncTable::full_patch`]). Groups and columns are sorted by id and
+/// cells by Y id, so equal changes encode to identical bytes; every
+/// carried value is an integer, so the mirror's score reads are
+/// **bit-identical** to the sender's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TablePatch {
+    /// `(x, cells)` per touched X group in ascending `x`: the group's
+    /// nonzero `(y, n_xy)` cells in ascending `y`, empty once the group
+    /// is gone.
+    pub groups: Vec<(u32, Vec<(u32, u64)>)>,
+    /// `(y, b_y)` per touched column in ascending `y`; `0` once the
+    /// column is gone.
+    pub cols: Vec<(u32, u64)>,
+    /// The sender's [`IncTable::check_scalars`] after the change.
+    pub check: [u64; 8],
+}
+
+impl Encode for TablePatch {
     fn encode(&self, out: &mut Vec<u8>) {
-        fn hist(h: &CountHist, out: &mut Vec<u8>) {
-            (h.len() as u32).encode(out);
-            for (&k, &v) in h {
-                k.encode(out);
-                v.encode(out);
-            }
-        }
-        self.n.encode(out);
-        let mut xs: Vec<u32> = self.groups.keys().copied().collect();
-        xs.sort_unstable();
-        (xs.len() as u32).encode(out);
-        for x in xs {
-            let g = &self.groups[&x];
-            x.encode(out);
-            g.total.encode(out);
-            g.sq.encode(out);
-            g.max.encode(out);
-            let mut ys: Vec<(u32, u64)> = g.ys.iter().map(|(&y, &c)| (y, c)).collect();
-            ys.sort_unstable();
-            ys.encode(out);
-        }
-        let mut cols: Vec<(u32, u64)> = self.col_totals.iter().map(|(&y, &b)| (y, b)).collect();
-        cols.sort_unstable();
-        cols.encode(out);
-        self.nonzero_cells.encode(out);
-        self.sum_row_max.encode(out);
-        self.violating_mass.encode(out);
-        self.sum_sq_rows.encode(out);
-        self.sum_sq_cols.encode(out);
-        self.sum_sq_cells.encode(out);
-        hist(&self.hist_rows, out);
-        hist(&self.hist_cols, out);
-        hist(&self.hist_cells, out);
-        (self.hist_row_shape.len() as u32).encode(out);
-        for (&(a, sq), &mult) in &self.hist_row_shape {
-            a.encode(out);
-            sq.encode(out);
-            mult.encode(out);
+        self.groups.encode(out);
+        self.cols.encode(out);
+        for v in self.check {
+            v.encode(out);
         }
     }
 }
 
-impl Decode for IncTable {
+impl Decode for TablePatch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        fn hist(r: &mut Reader<'_>) -> Result<CountHist, DecodeError> {
-            let len = r.len_prefix("count histogram", 16)?;
-            let mut h = CountHist::new();
-            for _ in 0..len {
-                let k = u64::decode(r)?;
-                let v = u64::decode(r)?;
-                h.insert(k, v);
+        let groups = Vec::decode(r)?;
+        let cols = Vec::decode(r)?;
+        let mut check = [0u64; 8];
+        for v in &mut check {
+            *v = u64::decode(r)?;
+        }
+        Ok(TablePatch {
+            groups,
+            cols,
+            check,
+        })
+    }
+}
+
+impl XGroup {
+    /// A group from its nonzero cells (ascending `y`, each `< n_y`), whose
+    /// total may not exceed `max_count`.
+    fn from_cells(cells: &[(u32, u64)], n_y: usize, max_count: u64) -> Result<XGroup, String> {
+        let mut g = XGroup {
+            ys: HashMap::with_capacity(cells.len()),
+            ..XGroup::default()
+        };
+        let mut last = None;
+        for &(y, c) in cells {
+            if last.is_some_and(|l| l >= y) {
+                return Err(format!("cell {y} out of order"));
             }
-            Ok(h)
+            last = Some(y);
+            if y as usize >= n_y {
+                return Err(format!("Y id {y} beyond the {n_y} Y key(s)"));
+            }
+            if c == 0 {
+                return Err(format!("zero count in cell {y}"));
+            }
+            g.total = g
+                .total
+                .checked_add(c)
+                .filter(|&t| t <= max_count)
+                .ok_or_else(|| format!("group total exceeds {max_count} live rows"))?;
+            // c ≤ total ≤ max_count < 2^32, so Σ c² ≤ total² fits.
+            g.sq += c * c;
+            g.max = g.max.max(c);
+            g.ys.insert(y, c);
         }
-        let mut t = IncTable::new();
-        t.n = u64::decode(r)?;
-        let n_groups = r.len_prefix("X groups", 4 + 8 * 3 + 4)?;
-        for _ in 0..n_groups {
-            let x = u32::decode(r)?;
-            let total = u64::decode(r)?;
-            let sq = u64::decode(r)?;
-            let max = u64::decode(r)?;
-            let ys: Vec<(u32, u64)> = Vec::decode(r)?;
-            t.groups.insert(
-                x,
-                XGroup {
-                    total,
-                    sq,
-                    max,
-                    ys: ys.into_iter().collect(),
-                },
-            );
+        Ok(g)
+    }
+}
+
+impl IncTable {
+    /// The eight scalar aggregates a [`TablePatch`] carries as its check:
+    /// `N`, nonzero cells, `Σ max`, violating mass, the three sums of
+    /// squares (rows, columns, cells) and `K_X`.
+    pub fn check_scalars(&self) -> [u64; 8] {
+        [
+            self.n,
+            self.nonzero_cells,
+            self.sum_row_max,
+            self.violating_mass,
+            self.sum_sq_rows,
+            self.sum_sq_cols,
+            self.sum_sq_cells,
+            self.groups.len() as u64,
+        ]
+    }
+
+    /// The patch from this table's state before a change to its state
+    /// now, given the X group and Y column ids the change touched (each
+    /// ascending and deduplicated). Costs O(touched ids + their cells).
+    pub fn patch(&self, xs: &[u32], ys: &[u32]) -> TablePatch {
+        TablePatch {
+            groups: xs
+                .iter()
+                .map(|&x| {
+                    let mut cells: Vec<(u32, u64)> = self
+                        .groups
+                        .get(&x)
+                        .map(|g| g.ys.iter().map(|(&y, &c)| (y, c)).collect())
+                        .unwrap_or_default();
+                    cells.sort_unstable();
+                    (x, cells)
+                })
+                .collect(),
+            cols: ys
+                .iter()
+                .map(|y| (*y, self.col_totals.get(y).copied().unwrap_or(0)))
+                .collect(),
+            check: self.check_scalars(),
         }
-        let cols: Vec<(u32, u64)> = Vec::decode(r)?;
-        t.col_totals = cols.into_iter().collect();
-        t.nonzero_cells = u64::decode(r)?;
-        t.sum_row_max = u64::decode(r)?;
-        t.violating_mass = u64::decode(r)?;
-        t.sum_sq_rows = u64::decode(r)?;
-        t.sum_sq_cols = u64::decode(r)?;
-        t.sum_sq_cells = u64::decode(r)?;
-        t.hist_rows = hist(r)?;
-        t.hist_cols = hist(r)?;
-        t.hist_cells = hist(r)?;
-        let n_shapes = r.len_prefix("row-shape histogram", 24)?;
-        for _ in 0..n_shapes {
-            let a = u64::decode(r)?;
-            let sq = u64::decode(r)?;
-            let mult = u64::decode(r)?;
-            t.hist_row_shape.insert((a, sq), mult);
+    }
+
+    /// The patch that rebuilds this table from an empty one (a resync).
+    pub fn full_patch(&self) -> TablePatch {
+        let mut xs: Vec<u32> = self.groups.keys().copied().collect();
+        xs.sort_unstable();
+        let mut ys: Vec<u32> = self.col_totals.keys().copied().collect();
+        ys.sort_unstable();
+        self.patch(&xs, &ys)
+    }
+
+    /// Applies a [`TablePatch`]: each listed group and column replaces
+    /// the current one — its old contribution to every aggregate and
+    /// histogram comes out, the new one goes in — and the result is
+    /// checked against the sender's scalars.
+    ///
+    /// Total on any input: the only counts ever taken out are ones an
+    /// earlier patch put in, and everything the patch brings is
+    /// validated first, so no histogram or arithmetic invariant can
+    /// break. `n_y` bounds the Y ids (the Y keys known so far) and
+    /// `max_count` every count (the sender's live rows, capped below
+    /// 2^32 so squares fit). On `Err` the table may be half-patched and
+    /// must be discarded.
+    ///
+    /// # Errors
+    /// The first violated rule: an entry out of order, the removal of a
+    /// group or column that is not there, a Y id `≥ n_y`, a zero cell, a
+    /// count above `max_count`, column totals that do not move with the
+    /// group mass (a column would hold less or more than its cells), or
+    /// derived scalars that differ from the sender's.
+    pub fn apply_patch(
+        &mut self,
+        patch: &TablePatch,
+        n_y: usize,
+        max_count: u64,
+    ) -> Result<(), String> {
+        let max_count = max_count.min(u64::from(u32::MAX));
+        let n_before = self.n;
+        let mut last = None;
+        for (x, cells) in &patch.groups {
+            if last.is_some_and(|l| l >= *x) {
+                return Err(format!("X group {x} out of order"));
+            }
+            last = Some(*x);
+            if cells.is_empty() {
+                if !self.unlink_group(*x) {
+                    return Err(format!("removes unknown X group {x}"));
+                }
+                continue;
+            }
+            let g = XGroup::from_cells(cells, n_y, max_count)
+                .map_err(|e| format!("X group {x}: {e}"))?;
+            self.unlink_group(*x);
+            self.link_group(*x, g)
+                .ok_or_else(|| format!("X group {x} overflows the aggregates"))?;
         }
-        Ok(t)
+        let mut col_moved: i128 = 0;
+        let mut last = None;
+        for &(y, b) in &patch.cols {
+            if last.is_some_and(|l| l >= y) {
+                return Err(format!("column {y} out of order"));
+            }
+            last = Some(y);
+            if y as usize >= n_y {
+                return Err(format!("column {y} beyond the {n_y} Y key(s)"));
+            }
+            if b > max_count {
+                return Err(format!(
+                    "column {y} total {b} exceeds {max_count} live rows"
+                ));
+            }
+            let old = self.col_totals.get(&y).copied().unwrap_or(0);
+            if old == 0 && b == 0 {
+                return Err(format!("removes unknown column {y}"));
+            }
+            let sum_sq_cols = (self.sum_sq_cols - old * old)
+                .checked_add(b * b)
+                .ok_or_else(|| format!("column {y} overflows the aggregates"))?;
+            self.sum_sq_cols = sum_sq_cols;
+            hist_dec(&mut self.hist_cols, old);
+            hist_inc(&mut self.hist_cols, b);
+            if b == 0 {
+                self.col_totals.remove(&y);
+            } else {
+                self.col_totals.insert(y, b);
+            }
+            col_moved += i128::from(b) - i128::from(old);
+        }
+        let group_moved = i128::from(self.n) - i128::from(n_before);
+        if col_moved != group_moved {
+            return Err(format!(
+                "column totals move N by {col_moved} but the X groups by {group_moved}: a \
+                 column count under- or overflows its cells"
+            ));
+        }
+        let derived = self.check_scalars();
+        if derived != patch.check {
+            return Err(format!(
+                "scalar check failed: derived {derived:?}, sender {:?}",
+                patch.check
+            ));
+        }
+        Ok(())
+    }
+
+    /// Counts a whole group in. `None`, with the table untouched, when an
+    /// aggregate would overflow.
+    fn link_group(&mut self, x: u32, g: XGroup) -> Option<()> {
+        let distinct = g.ys.len() as u64;
+        let n = self.n.checked_add(g.total)?;
+        // total ≤ max_count < 2^32 (see `XGroup::from_cells`).
+        let sum_sq_rows = self.sum_sq_rows.checked_add(g.total * g.total)?;
+        let sum_sq_cells = self.sum_sq_cells.checked_add(g.sq)?;
+        let sum_row_max = self.sum_row_max.checked_add(g.max)?;
+        let nonzero_cells = self.nonzero_cells.checked_add(distinct)?;
+        let violating_mass = if distinct >= 2 {
+            self.violating_mass.checked_add(g.total)?
+        } else {
+            self.violating_mass
+        };
+        self.n = n;
+        self.sum_sq_rows = sum_sq_rows;
+        self.sum_sq_cells = sum_sq_cells;
+        self.sum_row_max = sum_row_max;
+        self.nonzero_cells = nonzero_cells;
+        self.violating_mass = violating_mass;
+        hist_inc(&mut self.hist_rows, g.total);
+        for &c in g.ys.values() {
+            hist_inc(&mut self.hist_cells, c);
+        }
+        self.shape_move((0, 0), (g.total, g.sq));
+        self.groups.insert(x, g);
+        Some(())
+    }
+
+    /// Counts group `x` out whole; `false` when there is no such group.
+    /// Only removes what [`IncTable::link_group`] or the hot path put in,
+    /// so the histogram invariants hold.
+    fn unlink_group(&mut self, x: u32) -> bool {
+        let Some(g) = self.groups.remove(&x) else {
+            return false;
+        };
+        self.n -= g.total;
+        self.nonzero_cells -= g.ys.len() as u64;
+        self.sum_row_max -= g.max;
+        if g.ys.len() >= 2 {
+            self.violating_mass -= g.total;
+        }
+        self.sum_sq_rows -= g.total * g.total;
+        self.sum_sq_cells -= g.sq;
+        hist_dec(&mut self.hist_rows, g.total);
+        for &c in g.ys.values() {
+            hist_dec(&mut self.hist_cells, c);
+        }
+        self.shape_move((g.total, g.sq), (0, 0));
+        true
     }
 }
 
@@ -889,33 +1051,43 @@ mod tests {
     }
 
     #[test]
-    fn max_y_id_tracks_cells_and_columns() {
-        assert_eq!(IncTable::new().max_y_id(), None);
-        let mut t = IncTable::new();
-        t.insert(0, 7);
-        t.insert(1, 3);
-        assert_eq!(t.max_y_id(), Some(7));
-        t.delete(0, 7);
-        assert_eq!(t.max_y_id(), Some(3));
-    }
-
-    #[test]
     fn wire_roundtrip_is_exact_and_canonical() {
         let mut t = fixture();
         t.insert(7, 9);
         t.delete(1, 0);
-        let bytes = t.encode_to_vec();
-        let back = IncTable::decode_exact(&bytes).expect("table decodes");
+        // A table travels as its full patch, applied to an empty mirror.
+        let bytes = t.full_patch().encode_to_vec();
+        let patch = TablePatch::decode_exact(&bytes).expect("patch decodes");
+        let mut back = IncTable::new();
+        back.apply_patch(&patch, 10, 100).expect("resync applies");
         assert_eq!(back, t);
         assert!(back.scores().bits_eq(&t.scores()));
         // Canonical form: equal tables encode to identical bytes even
         // though the in-memory maps hash nondeterministically.
-        assert_eq!(back.encode_to_vec(), bytes);
-        // A decoded table keeps working as a live table.
+        assert_eq!(back.full_patch().encode_to_vec(), bytes);
+        // A patched table keeps working as a live table.
         let mut live = back;
         live.insert(42, 1);
         live.delete(42, 1);
         assert!(live.scores().bits_eq(&t.scores()));
+    }
+
+    #[test]
+    fn touched_patches_keep_a_mirror_equal() {
+        let mut worker = fixture();
+        let mut mirror = IncTable::new();
+        mirror.apply_patch(&worker.full_patch(), 3, 100).unwrap();
+        // Empty one group, grow another, add a fresh one.
+        for _ in 0..4 {
+            worker.delete(1, 0);
+        }
+        worker.insert(0, 2);
+        worker.insert(5, 1);
+        mirror
+            .apply_patch(&worker.patch(&[0, 1, 5], &[0, 1, 2]), 3, 100)
+            .expect("patch applies");
+        assert_eq!(mirror, worker);
+        assert!(mirror.scores().bits_eq(&worker.scores()));
     }
 
     #[test]

@@ -14,17 +14,21 @@
 //!
 //! The protocol is strict request/response: the coordinator writes one
 //! request frame and reads exactly one response frame, so worker stdout
-//! never interleaves. Every mutating response carries the worker's full
-//! per-candidate state ([`ShardState`]: the [`IncTable`] merge inputs
-//! plus the value-level Y side keys) — the coordinator decodes it and
-//! merges via [`IncTable::merge`], bit-identical to in-process shards.
+//! never interleaves. Every mutating response carries a [`StatePatch`]:
+//! per candidate, the X groups and column totals the request touched,
+//! the Y side keys assigned since the previous reply and the worker's
+//! scalar aggregates as a check — O(touched), not O(state). The
+//! coordinator applies it to its mirror of the worker's
+//! [`crate::IncTable`]s and merges those, bit-identical to in-process
+//! shards. A resync (after a subscribe or a compaction) is the same
+//! patch against an empty mirror.
 
 use afd_relation::{AttrSet, Fd, Relation, Schema, Value};
 use afd_wire::{decode_framed, encode_framed, Decode, DecodeError, Encode, Reader, FRAME_OVERHEAD};
 
 use crate::delta::{RowDelta, RowId, StreamError, TransportError, TransportErrorKind};
 use crate::session::{CompactionReport, ScoreDiff};
-use crate::table::{IncTable, StreamScores};
+use crate::table::{StreamScores, TablePatch};
 
 /// Frame kind of coordinator → worker [`WorkerRequest`]s.
 pub const KIND_REQUEST: u8 = 1;
@@ -266,57 +270,69 @@ impl Decode for StreamError {
     }
 }
 
-/// One candidate's coordinator-visible shard state: its [`IncTable`]
-/// (the merge input) and the value-level Y side keys (`side id ->
-/// RHS-value tuple`, how the coordinator identifies the same Y value
-/// across shards whose dictionary codes differ).
+/// One candidate's part of a [`StatePatch`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct CandidateState {
-    /// The shard's delta-maintained joint-count table.
-    pub table: IncTable,
-    /// Y side keys in side-id order (dense, `0..n`).
+pub struct CandidatePatch {
+    /// Replace the coordinator's mirror instead of patching it: set on
+    /// the first reply after the candidate's subscribe and after every
+    /// compaction (side ids renumber). `table` then rebuilds from empty
+    /// and `y_keys` starts at side id 0.
+    pub reset: bool,
+    /// Value-level Y keys (`side id -> RHS-value tuple`) assigned since
+    /// the last reply, in side-id order — how the coordinator identifies
+    /// the same Y value across shards whose dictionary codes differ.
+    /// Side ids only grow between compactions, so appending suffices.
     pub y_keys: Vec<Vec<Value>>,
+    /// The candidate's [`crate::IncTable`] change.
+    pub table: TablePatch,
 }
 
-impl Encode for CandidateState {
+impl Encode for CandidatePatch {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.table.encode(out);
+        self.reset.encode(out);
         self.y_keys.encode(out);
+        self.table.encode(out);
     }
 }
 
-impl Decode for CandidateState {
+impl Decode for CandidatePatch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(CandidateState {
-            table: IncTable::decode(r)?,
+        Ok(CandidatePatch {
+            reset: bool::decode(r)?,
             y_keys: Vec::<Vec<Value>>::decode(r)?,
+            table: TablePatch::decode(r)?,
         })
     }
 }
 
-/// A worker's full coordinator-visible state after a mutating request:
-/// live row count plus every candidate's [`CandidateState`] in
-/// subscription order.
+/// What a worker ships after every mutating request: the change to its
+/// coordinator-visible state since its previous reply, O(touched) in
+/// size. The coordinator applies it to its mirror of that state.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ShardState {
-    /// Live rows in this shard.
+pub struct StatePatch {
+    /// Patches since the worker's `Init`, this one included: the
+    /// coordinator refuses a gap instead of patching the wrong base.
+    pub generation: u64,
+    /// Live rows in the shard.
     pub n_live: u64,
-    /// Per-candidate tables and Y keys, subscription order.
-    pub candidates: Vec<CandidateState>,
+    /// Per candidate, subscription order.
+    pub candidates: Vec<CandidatePatch>,
 }
 
-impl Encode for ShardState {
+impl Encode for StatePatch {
     fn encode(&self, out: &mut Vec<u8>) {
+        self.generation.encode(out);
         self.n_live.encode(out);
         self.candidates.encode(out);
     }
 }
 
-impl Decode for ShardState {
+impl Decode for StatePatch {
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(ShardState {
+        Ok(StatePatch {
+            generation: u64::decode(r)?,
             n_live: u64::decode(r)?,
-            candidates: Vec::<CandidateState>::decode(r)?,
+            candidates: Vec::<CandidatePatch>::decode(r)?,
         })
     }
 }
@@ -432,57 +448,62 @@ impl Decode for WorkerRequest {
 pub enum WorkerResponse {
     /// `Init` / `Shutdown` acknowledged.
     Ok,
-    /// `Subscribe` done: the candidate's index plus refreshed state.
+    /// `Subscribe` done: the candidate's index plus the state patch
+    /// (a reset for the new candidate).
     Subscribed {
         /// Candidate index (subscription order, same on every shard).
         cid: u32,
-        /// Full state after the subscribe.
-        state: ShardState,
+        /// The change since the previous reply.
+        patch: StatePatch,
     },
-    /// `Apply` done: the refreshed state the coordinator merges.
-    Applied(ShardState),
+    /// `Apply` done: the groups and columns the delta touched.
+    Applied(StatePatch),
     /// `Snapshot` result: live rows in local arrival order.
     Snapshot(Relation),
-    /// `Compact` done (verification passed): report + refreshed state
-    /// (side ids were reset by compaction).
+    /// `Compact` done (verification passed): report + state patch (a
+    /// reset for every candidate, since side ids were renumbered).
     Compacted {
         /// The shard's compaction report.
         report: CompactionReport,
-        /// Full state after compaction.
-        state: ShardState,
+        /// The change since the previous reply.
+        patch: StatePatch,
     },
     /// The request failed with this (typed) [`StreamError`].
     Err(StreamError),
 }
 
+// Tags 1, 2 and 4 carried whole-state replies in an earlier protocol and
+// stay retired: a peer speaking it fails here with a typed `BadTag`
+// instead of misreading a patch (the frame version is shared with the
+// serve journal and spill files, so it does not move).
 const RESP_OK: u8 = 0;
-const RESP_SUBSCRIBED: u8 = 1;
-const RESP_APPLIED: u8 = 2;
 const RESP_SNAPSHOT: u8 = 3;
-const RESP_COMPACTED: u8 = 4;
 const RESP_ERR: u8 = 5;
+const RESP_SUBSCRIBED: u8 = 6;
+const RESP_APPLIED: u8 = 7;
+const RESP_COMPACTED: u8 = 8;
 
 impl Encode for WorkerResponse {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WorkerResponse::Ok => out.push(RESP_OK),
-            WorkerResponse::Subscribed { cid, state } => {
+            WorkerResponse::Subscribed { cid, patch } => {
                 out.push(RESP_SUBSCRIBED);
                 cid.encode(out);
-                state.encode(out);
+                patch.encode(out);
             }
-            WorkerResponse::Applied(state) => {
+            WorkerResponse::Applied(patch) => {
                 out.push(RESP_APPLIED);
-                state.encode(out);
+                patch.encode(out);
             }
             WorkerResponse::Snapshot(rel) => {
                 out.push(RESP_SNAPSHOT);
                 rel.encode(out);
             }
-            WorkerResponse::Compacted { report, state } => {
+            WorkerResponse::Compacted { report, patch } => {
                 out.push(RESP_COMPACTED);
                 report.encode(out);
-                state.encode(out);
+                patch.encode(out);
             }
             WorkerResponse::Err(e) => {
                 out.push(RESP_ERR);
@@ -498,13 +519,13 @@ impl Decode for WorkerResponse {
             RESP_OK => Ok(WorkerResponse::Ok),
             RESP_SUBSCRIBED => Ok(WorkerResponse::Subscribed {
                 cid: u32::decode(r)?,
-                state: ShardState::decode(r)?,
+                patch: StatePatch::decode(r)?,
             }),
-            RESP_APPLIED => Ok(WorkerResponse::Applied(ShardState::decode(r)?)),
+            RESP_APPLIED => Ok(WorkerResponse::Applied(StatePatch::decode(r)?)),
             RESP_SNAPSHOT => Ok(WorkerResponse::Snapshot(Relation::decode(r)?)),
             RESP_COMPACTED => Ok(WorkerResponse::Compacted {
                 report: CompactionReport::decode(r)?,
-                state: ShardState::decode(r)?,
+                patch: StatePatch::decode(r)?,
             }),
             RESP_ERR => Ok(WorkerResponse::Err(StreamError::decode(r)?)),
             tag => Err(DecodeError::BadTag {
@@ -661,6 +682,7 @@ impl SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::IncTable;
     use afd_relation::AttrId;
 
     fn scores() -> StreamScores {
@@ -758,20 +780,22 @@ mod tests {
         }
         let mut table = IncTable::new();
         table.insert(0, 0);
-        let state = ShardState {
+        let patch = StatePatch {
+            generation: 3,
             n_live: 1,
-            candidates: vec![CandidateState {
-                table,
+            candidates: vec![CandidatePatch {
+                reset: true,
                 y_keys: vec![vec![Value::Int(9)]],
+                table: table.full_patch(),
             }],
         };
         let resps = [
             WorkerResponse::Ok,
             WorkerResponse::Subscribed {
                 cid: 0,
-                state: state.clone(),
+                patch: patch.clone(),
             },
-            WorkerResponse::Applied(state.clone()),
+            WorkerResponse::Applied(patch.clone()),
             WorkerResponse::Snapshot(Relation::from_pairs([(1, 2)])),
             WorkerResponse::Compacted {
                 report: CompactionReport {
@@ -779,7 +803,7 @@ mod tests {
                     candidates_checked: 1,
                     n_live: 5,
                 },
-                state,
+                patch,
             },
             WorkerResponse::Err(StreamError::Diverged("boom".into())),
         ];
@@ -798,6 +822,25 @@ mod tests {
                 }
                 _ => assert_eq!(&back, resp),
             }
+        }
+    }
+
+    #[test]
+    fn retired_whole_state_reply_tags_are_typed_bad_tags() {
+        // Tags 1, 2 and 4 were the whole-state Subscribed/Applied/Compacted
+        // replies of the earlier protocol: a stale peer's reply must fail
+        // as a typed BadTag, never be misread as a patch.
+        for tag in [1u8, 2, 4] {
+            let mut old = vec![tag];
+            1u64.encode(&mut old); // the old reply's leading n_live
+            0u32.encode(&mut old); // ... and an empty candidate list
+            assert_eq!(
+                WorkerResponse::decode_exact(&old),
+                Err(DecodeError::BadTag {
+                    what: "WorkerResponse",
+                    tag
+                })
+            );
         }
     }
 

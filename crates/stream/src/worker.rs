@@ -9,6 +9,15 @@
 //! compaction divergence) are *answered* as typed
 //! [`WorkerResponse::Err`]s; only transport-level failures (corrupt
 //! frames, broken pipes) abort the worker.
+//!
+//! Every mutating reply carries a [`StatePatch`], not the session's
+//! whole state: the worker remembers how many Y keys its coordinator's
+//! mirror holds per candidate, and after an apply it reads the touched
+//! X groups and columns off the deleted and appended log slots
+//! ([`StreamSession::counted_side_ids`]), so a reply costs O(delta).
+//! A subscribe resyncs the new candidate and a compaction every
+//! candidate (side ids renumber) — the same patch against an empty
+//! mirror.
 
 use std::io::{Read, Write};
 
@@ -18,61 +27,120 @@ use crate::delta::{StreamError, TransportError};
 use crate::fault::{WorkerFault, WorkerFaultKind, AFD_WORKER_FAULTS_ENV};
 use crate::session::StreamSession;
 use crate::wire::{
-    CandidateState, ShardState, WorkerRequest, WorkerResponse, KIND_REQUEST, KIND_RESPONSE,
+    CandidatePatch, StatePatch, WorkerRequest, WorkerResponse, KIND_REQUEST, KIND_RESPONSE,
 };
 
-/// The full coordinator-visible state of a worker's session: live row
-/// count plus every candidate's table and Y side keys.
-pub fn shard_state(session: &StreamSession) -> ShardState {
-    ShardState {
-        n_live: session.relation().n_live() as u64,
-        candidates: (0..session.n_candidates())
-            .map(|cid| CandidateState {
-                table: session.table(cid).clone(),
-                y_keys: (0..session.n_y_side_ids(cid))
-                    .map(|id| session.y_side_values(cid, id as u32))
-                    .collect(),
+/// A worker's session plus what its coordinator's mirror already holds.
+struct Worker {
+    session: StreamSession,
+    /// Patches shipped since `Init`.
+    generation: u64,
+    /// Per candidate: Y keys the mirror holds, or `None` when the next
+    /// reply must resync it (new subscription, renumbered side ids).
+    shipped_y_keys: Vec<Option<usize>>,
+}
+
+impl Worker {
+    /// The patch taking the coordinator's mirror to the session's state
+    /// now, where log slots `slots` are the ones the request counted in
+    /// or out (deleted and appended rows).
+    fn patch(&mut self, slots: &[usize]) -> StatePatch {
+        let session = &self.session;
+        let candidates = self
+            .shipped_y_keys
+            .iter_mut()
+            .enumerate()
+            .map(|(cid, shipped)| {
+                let (reset, from, table) = match *shipped {
+                    Some(from) => {
+                        let (xs, ys) = session.counted_side_ids(cid, slots.iter().copied());
+                        (false, from, session.table(cid).patch(&xs, &ys))
+                    }
+                    None => (true, 0, session.table(cid).full_patch()),
+                };
+                let to = session.n_y_side_ids(cid);
+                *shipped = Some(to);
+                CandidatePatch {
+                    reset,
+                    y_keys: (from..to)
+                        .map(|id| session.y_side_values(cid, id as u32))
+                        .collect(),
+                    table,
+                }
             })
-            .collect(),
+            .collect();
+        self.generation += 1;
+        StatePatch {
+            generation: self.generation,
+            n_live: session.relation().n_live() as u64,
+            candidates,
+        }
+    }
+
+    fn handle(&mut self, req: WorkerRequest) -> WorkerResponse {
+        match req {
+            WorkerRequest::Subscribe(fd) => match self.session.subscribe(fd) {
+                Ok(cid) => {
+                    if cid == self.shipped_y_keys.len() {
+                        self.shipped_y_keys.push(None);
+                    }
+                    WorkerResponse::Subscribed {
+                        cid: cid as u32,
+                        patch: self.patch(&[]),
+                    }
+                }
+                Err(e) => WorkerResponse::Err(e),
+            },
+            WorkerRequest::Apply(delta) => {
+                let first_new = self.session.relation().n_slots();
+                match self.session.apply(&delta) {
+                    Ok(_) => {
+                        let slots: Vec<usize> = delta
+                            .deletes
+                            .iter()
+                            .map(|&id| id as usize)
+                            .chain(first_new..self.session.relation().n_slots())
+                            .collect();
+                        WorkerResponse::Applied(self.patch(&slots))
+                    }
+                    Err(e) => WorkerResponse::Err(e),
+                }
+            }
+            WorkerRequest::Snapshot => WorkerResponse::Snapshot(self.session.relation().snapshot()),
+            WorkerRequest::Compact => match self.session.compact() {
+                Ok(report) => {
+                    self.shipped_y_keys.fill(None);
+                    WorkerResponse::Compacted {
+                        report,
+                        patch: self.patch(&[]),
+                    }
+                }
+                Err(e) => WorkerResponse::Err(e),
+            },
+            WorkerRequest::Init(_) | WorkerRequest::Shutdown => {
+                unreachable!("answered by `handle`")
+            }
+        }
     }
 }
 
-fn handle(session: &mut Option<StreamSession>, req: WorkerRequest) -> WorkerResponse {
+fn handle(worker: &mut Option<Worker>, req: WorkerRequest) -> WorkerResponse {
     match req {
         WorkerRequest::Init(schema) => {
-            *session = Some(StreamSession::new(schema));
+            *worker = Some(Worker {
+                session: StreamSession::new(schema),
+                generation: 0,
+                shipped_y_keys: Vec::new(),
+            });
             WorkerResponse::Ok
         }
         WorkerRequest::Shutdown => WorkerResponse::Ok,
-        other => {
-            let Some(session) = session.as_mut() else {
-                return WorkerResponse::Err(StreamError::Transport(TransportError::decode(
-                    "request before Init",
-                )));
-            };
-            match other {
-                WorkerRequest::Subscribe(fd) => match session.subscribe(fd) {
-                    Ok(cid) => WorkerResponse::Subscribed {
-                        cid: cid as u32,
-                        state: shard_state(session),
-                    },
-                    Err(e) => WorkerResponse::Err(e),
-                },
-                WorkerRequest::Apply(delta) => match session.apply(&delta) {
-                    Ok(_) => WorkerResponse::Applied(shard_state(session)),
-                    Err(e) => WorkerResponse::Err(e),
-                },
-                WorkerRequest::Snapshot => WorkerResponse::Snapshot(session.relation().snapshot()),
-                WorkerRequest::Compact => match session.compact() {
-                    Ok(report) => WorkerResponse::Compacted {
-                        report,
-                        state: shard_state(session),
-                    },
-                    Err(e) => WorkerResponse::Err(e),
-                },
-                WorkerRequest::Init(_) | WorkerRequest::Shutdown => unreachable!("handled above"),
-            }
-        }
+        other => match worker.as_mut() {
+            Some(worker) => worker.handle(other),
+            None => WorkerResponse::Err(StreamError::Transport(TransportError::decode(
+                "request before Init",
+            ))),
+        },
     }
 }
 
@@ -110,7 +178,7 @@ pub fn run_worker_with_fault(
     mut output: impl Write,
     mut fault: Option<WorkerFault>,
 ) -> Result<(), FrameReadError> {
-    let mut session: Option<StreamSession> = None;
+    let mut worker: Option<Worker> = None;
     let mut requests: u64 = 0;
     loop {
         let (kind, payload) = match read_frame_from(&mut input)? {
@@ -141,7 +209,7 @@ pub fn run_worker_with_fault(
         }
         let req = WorkerRequest::decode_exact(&payload)?;
         let shutdown = matches!(req, WorkerRequest::Shutdown);
-        let resp = handle(&mut session, req);
+        let resp = handle(&mut worker, req);
         let frame = encode_framed(KIND_RESPONSE, &resp)?;
         match tripped {
             Some(WorkerFaultKind::Truncate) => {
@@ -251,41 +319,45 @@ mod tests {
     fn worker_tracks_a_session_and_ships_state() {
         let schema = Schema::new(["X", "Y"]).unwrap();
         let fd = Fd::linear(AttrId(0), AttrId(1));
+        let seed = RowDelta::insert_only([row(1, 10), row(1, 10), row(2, 20), row(1, 11)]);
         let resps = drive(&[
             WorkerRequest::Init(schema.clone()),
             WorkerRequest::Subscribe(fd.clone()),
-            WorkerRequest::Apply(RowDelta::insert_only([
-                row(1, 10),
-                row(1, 10),
-                row(2, 20),
-                row(1, 11),
-            ])),
+            WorkerRequest::Apply(seed.clone()),
             WorkerRequest::Snapshot,
             WorkerRequest::Compact,
+            WorkerRequest::Apply(RowDelta::delete_only([3])),
             WorkerRequest::Shutdown,
         ]);
-        assert_eq!(resps.len(), 6);
+        assert_eq!(resps.len(), 7);
         assert_eq!(resps[0], WorkerResponse::Ok);
-        // The shipped state matches a local session fed the same data.
+        // The shipped patches rebuild a local session fed the same data.
         let mut local = StreamSession::new(schema);
         let cid = local.subscribe(fd).unwrap();
-        local
-            .apply(&RowDelta::insert_only([
-                row(1, 10),
-                row(1, 10),
-                row(2, 20),
-                row(1, 11),
-            ]))
-            .unwrap();
+        local.apply(&seed).unwrap();
+        let mut mirror = IncTable::new();
+        let mut keys = Vec::new();
+        let mut mirror_patch = |patch: &StatePatch, generation: u64| {
+            assert_eq!(patch.generation, generation);
+            let cand = &patch.candidates[cid];
+            if cand.reset {
+                mirror = IncTable::new();
+                keys.clear();
+            }
+            keys.extend(cand.y_keys.iter().cloned());
+            mirror
+                .apply_patch(&cand.table, keys.len(), patch.n_live)
+                .expect("worker patches apply");
+            (mirror.clone(), keys.clone())
+        };
         match &resps[2] {
-            WorkerResponse::Applied(state) => {
-                assert_eq!(state.n_live, 4);
-                assert_eq!(&state.candidates[cid].table, local.table(cid));
-                assert_eq!(state.candidates[cid].y_keys.len(), local.n_y_side_ids(cid));
-                assert!(state.candidates[cid]
-                    .table
-                    .scores()
-                    .bits_eq(&local.scores(cid)));
+            WorkerResponse::Applied(patch) => {
+                assert_eq!(patch.n_live, 4);
+                assert!(!patch.candidates[cid].reset);
+                let (table, keys) = mirror_patch(patch, 2);
+                assert_eq!(&table, local.table(cid));
+                assert_eq!(keys.len(), local.n_y_side_ids(cid));
+                assert!(table.scores().bits_eq(&local.scores(cid)));
             }
             other => panic!("expected Applied, got {other:?}"),
         }
@@ -293,14 +365,31 @@ mod tests {
             WorkerResponse::Snapshot(rel) => assert_eq!(rel.n_rows(), 4),
             other => panic!("expected Snapshot, got {other:?}"),
         }
+        local.compact().unwrap();
         match &resps[4] {
-            WorkerResponse::Compacted { report, state } => {
+            WorkerResponse::Compacted { report, patch } => {
                 assert_eq!(report.n_live, 4);
-                assert_eq!(state.candidates.len(), 1);
+                assert!(
+                    patch.candidates[cid].reset,
+                    "compaction renumbers: a resync"
+                );
+                let (table, _) = mirror_patch(patch, 3);
+                assert_eq!(&table, local.table(cid));
             }
             other => panic!("expected Compacted, got {other:?}"),
         }
-        assert_eq!(resps[5], WorkerResponse::Ok);
+        local.apply(&RowDelta::delete_only([3])).unwrap();
+        match &resps[5] {
+            WorkerResponse::Applied(patch) => {
+                // Only the one group and column the delete touched ship.
+                assert_eq!(patch.candidates[cid].table.groups.len(), 1);
+                assert_eq!(patch.candidates[cid].table.cols.len(), 1);
+                let (table, _) = mirror_patch(patch, 4);
+                assert_eq!(&table, local.table(cid));
+            }
+            other => panic!("expected Applied, got {other:?}"),
+        }
+        assert_eq!(resps[6], WorkerResponse::Ok);
     }
 
     #[test]
@@ -323,7 +412,7 @@ mod tests {
             resps[2],
             WorkerResponse::Err(StreamError::UnknownAttr(9))
         ));
-        assert!(matches!(&resps[3], WorkerResponse::Applied(s) if s.n_live == 1));
+        assert!(matches!(&resps[3], WorkerResponse::Applied(p) if p.n_live == 1));
     }
 
     #[test]
@@ -430,8 +519,8 @@ mod tests {
 
     #[test]
     fn shipped_tables_merge_bit_identically() {
-        // The end-to-end wire property on the worker loop alone: state
-        // shipped through encode/decode merges exactly like local state.
+        // The end-to-end wire property on the worker loop alone: a table
+        // rebuilt from shipped patches merges exactly like local state.
         let schema = Schema::new(["X", "Y"]).unwrap();
         let fd = Fd::linear(AttrId(0), AttrId(1));
         let delta = RowDelta::insert_only([row(1, 10), row(2, 20), row(1, 11)]);
@@ -440,21 +529,28 @@ mod tests {
             WorkerRequest::Subscribe(fd.clone()),
             WorkerRequest::Apply(delta.clone()),
         ]);
-        let WorkerResponse::Applied(state) = &resps[2] else {
-            panic!("expected Applied");
-        };
+        let mut mirror = IncTable::new();
+        for resp in &resps[1..] {
+            let (WorkerResponse::Subscribed { patch, .. } | WorkerResponse::Applied(patch)) = resp
+            else {
+                panic!("expected a patch, got {resp:?}");
+            };
+            mirror
+                .apply_patch(&patch.candidates[0].table, 3, patch.n_live)
+                .unwrap();
+        }
         let mut local = StreamSession::new(schema);
         let cid = local.subscribe(fd).unwrap();
         local.apply(&delta).unwrap();
         let y_map: Vec<u32> = (0..local.n_y_side_ids(cid) as u32).collect();
-        let from_wire = IncTable::merged_scores([(&state.candidates[cid].table, y_map.as_slice())]);
+        let from_wire = IncTable::merged_scores([(&mirror, y_map.as_slice())]);
         let from_local = IncTable::merged_scores([(local.table(cid), y_map.as_slice())]);
         assert!(from_wire.bits_eq(&from_local));
-        // Byte-level determinism: re-encoding the shipped table yields
-        // the same canonical bytes.
+        // Byte-level determinism: the mirror's resync bytes are the
+        // worker table's.
         assert_eq!(
-            state.candidates[cid].table.encode_to_vec(),
-            local.table(cid).encode_to_vec()
+            mirror.full_patch().encode_to_vec(),
+            local.table(cid).full_patch().encode_to_vec()
         );
     }
 }

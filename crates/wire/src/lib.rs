@@ -1,9 +1,9 @@
 //! # afd-wire
 //!
 //! A hand-rolled, versioned, checksummed binary codec for shipping AFD
-//! engine state between processes — the wire format the ROADMAP asked
-//! for so `IncTable::merge` inputs (and whole session snapshots) can
-//! come from shard workers living in other processes.
+//! engine state between processes — the wire format that lets
+//! `IncTable::merge` inputs (patched group by group) and whole session
+//! snapshots come from shard workers living in other processes.
 //!
 //! No serde, no network stack, no external dependencies: the build
 //! environment is fully offline, so the codec is plain std. Design:
@@ -27,7 +27,7 @@
 //! `afd-relation` vocabulary ([`afd_relation::Value`], attribute sets,
 //! FDs, schemas, whole relations in columnar form). The streaming crate
 //! (`afd-stream`) layers its own types on top — deltas, score diffs,
-//! `IncTable` merge state, session snapshots and the shard-worker
+//! `IncTable` state patches, session snapshots and the shard-worker
 //! request/response protocol.
 //!
 //! ## Architecture & performance

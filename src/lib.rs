@@ -169,9 +169,10 @@
 //!   corrupt input always surfaces as a typed
 //!   [`wire::DecodeError`] — never a panic (fuzz-pinned).
 //! * **Exactness**: everything is fixed-width little-endian, floats
-//!   travel as IEEE-754 bit patterns, and every aggregate the shards
-//!   ship (`IncTable` counts, margins, histograms) is an integer — so a
-//!   process-backed session's merged score reads are **bit-identical**
+//!   travel as IEEE-754 bit patterns, and every value the shards ship
+//!   (the touched `IncTable` groups and column totals of a state patch)
+//!   is an integer — so a process-backed session's merged score reads
+//!   are **bit-identical**
 //!   to the in-process backend and the batch kernels (proptest-pinned
 //!   for N ∈ {1, 2, 4} worker processes).
 //! * **Fault model**: the shard fabric is **self-healing**. Every
