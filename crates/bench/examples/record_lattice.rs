@@ -28,6 +28,7 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample so CI can
 //! exercise the full path quickly.
 
+use afd_bench::median;
 use afd_core::G3Prime;
 use afd_discovery::{naive_lattice, try_discover_all_stats, LatticeConfig};
 use afd_relation::{AttrSet, Relation, Schema, Value};
@@ -38,15 +39,14 @@ use std::time::{Duration, Instant};
 /// Median wall time of `f` over `samples` runs.
 fn time(samples: usize, mut f: impl FnMut()) -> Duration {
     f(); // warm-up
-    let mut times: Vec<Duration> = (0..samples)
+    let times: Vec<Duration> = (0..samples)
         .map(|_| {
             let start = Instant::now();
             f();
             start.elapsed()
         })
         .collect();
-    times.sort_unstable();
-    times[times.len() / 2]
+    median(&times)
 }
 
 /// Hash scatter (splitmix64 finalizer): high-cardinality pseudo-random

@@ -8,10 +8,10 @@
 //! Three sections:
 //!
 //! 1. **Shard apply transport tax** — the same churn deltas applied
-//!    through a 2-shard session on each transport (in-process threads,
-//!    stdio child processes, TCP loopback listeners), reporting p50/p99
-//!    apply latency per topology. The correctness gate asserts all
-//!    three read bit-identical scores after every delta. The TCP
+//!    through a 2-shard session in process and over TCP to spawned
+//!    `afd shard-worker --listen` children on loopback, reporting
+//!    p50/p99 apply latency per topology. The correctness gate asserts
+//!    both read bit-identical scores after every delta. The TCP
 //!    session also counts its reply bytes: the full resync a subscribe
 //!    over the seeded rows ships, and the state patch each churn apply
 //!    ships. The run exits 1 if any apply's reply exceeds 1/8 of the
@@ -25,59 +25,17 @@
 //! `--smoke` shrinks every section so CI exercises the full path in
 //! seconds.
 
-use afd_bench::fixture_relation;
+use afd_bench::{afd_worker, fixture_relation, median, percentile};
 use afd_engine::{AfdEngine, SnapshotRequest, SubscribeRequest};
 use afd_net::{NetError, TcpTransport, Transport};
 use afd_relation::{AttrId, AttrSet, Fd, Relation, Schema};
 use afd_serve::{AfdServe, DurabilityConfig, ServeClient, ServeConfig, ServeFront};
-use afd_stream::{
-    ChurnPlanner, ProcessShard, RemoteShard, RowDelta, ShardedSession, WorkerCommand,
-};
+use afd_stream::{ChurnPlanner, RemoteShard, RowDelta, ShardedSession};
 use afd_wire::FRAME_OVERHEAD;
 use std::fmt::Write as _;
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-fn pct(samples: &mut [Duration], p: f64) -> Duration {
-    samples.sort_unstable();
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
-}
-
-/// A live `afd shard-worker --listen` child, killed on drop.
-struct TcpWorker {
-    child: Child,
-    addr: String,
-}
-
-impl TcpWorker {
-    fn spawn(afd: &WorkerCommand) -> TcpWorker {
-        let mut child = Command::new(afd.program())
-            .args(["shard-worker", "--listen", "127.0.0.1:0"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("worker listener spawns");
-        let mut line = String::new();
-        std::io::BufReader::new(child.stdout.take().expect("stdout piped"))
-            .read_line(&mut line)
-            .expect("worker announces its address");
-        assert!(line.starts_with("listening on"), "unexpected: {line:?}");
-        let addr = line.trim().rsplit(' ').next().unwrap().to_string();
-        TcpWorker { child, addr }
-    }
-}
-
-impl Drop for TcpWorker {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
 
 /// A transport that adds the whole-frame size of every reply it
 /// receives to a shared counter.
@@ -130,13 +88,7 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "BENCH_net.json".to_string());
-    let afd = WorkerCommand::sibling_binary("afd").unwrap_or_else(|| {
-        eprintln!(
-            "FAIL: could not find the `afd` binary next to this example; \
-             run `cargo build --release` (or --profile matching this run) first"
-        );
-        std::process::exit(1);
-    });
+    let afd = afd_worker();
 
     let (n, deltas, rtts, churns) = if smoke {
         (2_048, 6, 16, 8)
@@ -150,18 +102,14 @@ fn main() {
     let k = (n / 256).max(4);
 
     // ------------------------- section 1: shard apply transport tax
-    let workers = [TcpWorker::spawn(&afd), TcpWorker::spawn(&afd)];
     let bytes_in = Arc::new(AtomicU64::new(0));
     let mut inproc = ShardedSession::new(schema.clone(), key.clone(), 2).expect("valid topology");
-    let mut stdio: ShardedSession<ProcessShard> =
-        ShardedSession::spawn(schema.clone(), key.clone(), 2, &afd).expect("stdio workers spawn");
     let mut tcp = ShardedSession::with_backends(
         schema.clone(),
         key.clone(),
-        workers
-            .iter()
-            .map(|w| {
-                let inner = TcpTransport::connect(&w.addr).expect("dial worker");
+        (0..2)
+            .map(|_| {
+                let inner = TcpTransport::spawn(&afd).expect("worker spawns");
                 let counted = Counted {
                     inner,
                     bytes_in: Arc::clone(&bytes_in),
@@ -175,17 +123,14 @@ fn main() {
     // a full resync of the seeded state.
     let seed = RowDelta::insert_only((0..fixture.n_rows()).map(|r| fixture.row(r)));
     inproc.apply(&seed).expect("seed applies");
-    stdio.apply(&seed).expect("seed applies");
     tcp.apply(&seed).expect("seed applies");
     let ci = inproc.subscribe(fd.clone()).expect("2-attr fixture");
-    let cs = stdio.subscribe(fd.clone()).expect("2-attr fixture");
     let before = bytes_in.load(Ordering::Relaxed);
     let ct = tcp.subscribe(fd.clone()).expect("2-attr fixture");
     let resync_bytes = bytes_in.load(Ordering::Relaxed) - before;
 
     let mut planner = ChurnPlanner::new(&fixture);
     let mut t_inproc = Vec::with_capacity(deltas);
-    let mut t_stdio = Vec::with_capacity(deltas);
     let mut t_tcp = Vec::with_capacity(deltas);
     let mut apply_bytes = Vec::with_capacity(deltas);
     for _ in 0..deltas {
@@ -193,28 +138,18 @@ fn main() {
         let start = Instant::now();
         inproc.apply(&delta).expect("valid planned delta");
         t_inproc.push(start.elapsed());
-        let start = Instant::now();
-        stdio.apply(&delta).expect("valid planned delta");
-        t_stdio.push(start.elapsed());
         let before = bytes_in.load(Ordering::Relaxed);
         let start = Instant::now();
         tcp.apply(&delta).expect("valid planned delta");
         t_tcp.push(start.elapsed());
         apply_bytes.push(bytes_in.load(Ordering::Relaxed) - before);
         let want = inproc.scores(ci);
-        assert!(stdio.scores(cs).bits_eq(&want), "stdio diverged");
         assert!(tcp.scores(ct).bits_eq(&want), "tcp diverged");
     }
-    assert!(stdio.shutdown().clean());
     assert!(tcp.shutdown().clean());
-    let apply_rows = [
-        ("in_process", &mut t_inproc),
-        ("stdio", &mut t_stdio),
-        ("tcp", &mut t_tcp),
-    ];
     let mut json = String::from("{\n  \"benchmarks\": [\n");
-    for (name, samples) in apply_rows {
-        let (p50, p99) = (pct(samples, 0.5), pct(samples, 0.99));
+    for (name, samples) in [("in_process", t_inproc), ("tcp", t_tcp)] {
+        let (p50, p99) = (median(&samples), percentile(&samples, 0.99));
         let _ = writeln!(
             json,
             "    {{\"workload\": \"shard_apply_2x\", \"transport\": \"{name}\", \"rows\": {n}, \
@@ -224,9 +159,8 @@ fn main() {
         );
         println!("apply 2x {name:>10}  p50 {p50:>12?}  p99 {p99:>12?}");
     }
-    apply_bytes.sort_unstable();
-    let apply_bytes_p50 = apply_bytes[apply_bytes.len() / 2];
-    let apply_bytes_max = apply_bytes[apply_bytes.len() - 1];
+    let apply_bytes_p50 = median(&apply_bytes);
+    let apply_bytes_max = percentile(&apply_bytes, 1.0);
     let _ = writeln!(
         json,
         "    {{\"workload\": \"tcp_reply_bytes_2x\", \"rows\": {n}, \"delta_rows\": {k}, \
@@ -264,7 +198,7 @@ fn main() {
         assert!(scores.bits_eq(&engine.scores(0).unwrap()), "serve diverged");
     }
     client.release(handle).expect("clean release");
-    let (p50, p99) = (pct(&mut rtt, 0.5), pct(&mut rtt, 0.99));
+    let (p50, p99) = (median(&rtt), percentile(&rtt, 0.99));
     let _ = writeln!(
         json,
         "    {{\"workload\": \"serve_scores_rtt\", \"requests\": {rtts}, \"p50_ns\": {}, \
@@ -308,8 +242,8 @@ fn main() {
     let _ = write!(
         json,
         "  \"smoke\": {smoke},\n  \"note\": \"loopback TCP; shard_apply_2x = one churn delta \
-         through a 2-shard session per transport (scores asserted bit-identical across all \
-         three every delta); tcp_reply_bytes_2x = whole reply frames of both TCP workers for \
+         through a 2-shard session in process and over TCP to 2 spawned afd shard-worker \
+         --listen children (scores asserted bit-identical every delta); tcp_reply_bytes_2x = whole reply frames of both TCP workers for \
          the subscribe over the seeded rows (a full resync) and per churn apply (a state \
          patch), bar: every apply <= 1/8 of the resync; serve_scores_rtt = framed request/response through ServeFront; \
          connection_churn = connect+hello+census+disconnect cycles against the accept loop \

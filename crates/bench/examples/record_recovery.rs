@@ -5,12 +5,14 @@
 //! cargo run --release -p afd-bench --example record_recovery [--smoke] [out.json]
 //! ```
 //!
-//! The workload: a 2-worker `ShardedSession<ProcessShard>` over the
+//! The workload: a 2-worker `ShardedSession<TcpShard>` (spawned
+//! `afd shard-worker --listen` children on loopback) over the
 //! standard 65 536-row bench fixture, churned with planned deltas. For
 //! each checkpoint interval K in the sweep, the post-checkpoint delta
 //! log is filled to K−1 entries, worker 1 is then killed outright, and
-//! the next apply — which transparently respawns the worker, restores
-//! its checkpoint, replays the log and retries the delta — is timed.
+//! the next apply — which transparently relaunches and redials the
+//! worker, restores its checkpoint, replays the log and retries the
+//! delta — is timed.
 //! The trade-off this records: a small K bounds replay work (cheap
 //! recovery) but pays a full snapshot round-trip every K applies; a
 //! large K amortises checkpointing but replays up to K−1 deltas per
@@ -27,22 +29,12 @@
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::fixture_relation;
+use afd_bench::{afd_worker, fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd};
-use afd_stream::{ChurnPlanner, ProcessShard, RecoveryConfig, ShardedSession, WorkerCommand};
+use afd_stream::{ChurnPlanner, RecoveryConfig, ShardedSession, TcpShard};
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn median_u64(mut samples: Vec<u64>) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
+use std::time::Instant;
 
 struct KResult {
     checkpoint_every: u64,
@@ -68,13 +60,7 @@ fn main() {
     let key = AttrSet::single(AttrId(0));
     let delta_rows = (n / 256).max(4);
 
-    let worker = WorkerCommand::sibling_binary("afd").unwrap_or_else(|| {
-        eprintln!(
-            "FAIL: could not find the `afd` binary next to this example; \
-             run `cargo build --release` (or --profile matching this run) first"
-        );
-        std::process::exit(1);
-    });
+    let worker = afd_worker();
 
     let mut results = Vec::new();
     for checkpoint_every in [8u64, 64, 256] {
@@ -86,8 +72,9 @@ fn main() {
         } else {
             checkpoint_every - 1
         };
-        let mut proc: ShardedSession<ProcessShard> =
-            ShardedSession::spawn_from_relation(fixture.clone(), key.clone(), 2, &worker)
+        let mut proc: ShardedSession<TcpShard> =
+            ShardedSession::spawn(fixture.schema().clone(), key.clone(), 2, &worker)
+                .and_then(|s| s.seeded(&fixture))
                 .expect("worker processes spawn")
                 .with_recovery(RecoveryConfig {
                     checkpoint_every,
@@ -142,9 +129,9 @@ fn main() {
         results.push(KResult {
             checkpoint_every,
             fill,
-            apply_ns: median(plain_times).as_nanos(),
-            recovery_ns: median(recovery_times).as_nanos(),
-            deltas_replayed: median_u64(replayed_counts),
+            apply_ns: median(&plain_times).as_nanos(),
+            recovery_ns: median(&recovery_times).as_nanos(),
+            deltas_replayed: median(&replayed_counts),
             respawns: report.total_respawns(),
         });
         assert!(proc.shutdown().clean(), "healed workers shut down cleanly");
@@ -167,9 +154,9 @@ fn main() {
     let _ = write!(
         json,
         "  \"smoke\": {smoke},\n  \"note\": \"median over samples; worker_recovery = kill one of \
-         2 afd shard-worker children with its post-checkpoint log filled to log_fill deltas, \
-         then time the next apply, which respawns the worker, restores its checkpoint, replays \
-         the log and retries the in-flight delta; apply_ns = fault-free apply on the same \
+         2 spawned afd shard-worker --listen children with its post-checkpoint log filled to \
+         log_fill deltas, then time the next apply, which relaunches and redials the worker, \
+         restores its checkpoint, replays the log and retries the in-flight delta; apply_ns = fault-free apply on the same \
          session (checkpoint refreshes included); post-recovery merged scores asserted \
          bit-identical to a fault-free in-process twin\"\n}}\n"
     );

@@ -26,13 +26,13 @@
 //! backpressure at the configured caps surfaces as the typed
 //! `ServeError::Backpressure`.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median, percentile};
 use afd_engine::{AfdEngine, DeltaRequest, SnapshotRequest, SubscribeRequest};
 use afd_relation::{AttrId, Fd, Value};
 use afd_serve::{AfdServe, ServeConfig, ServeError};
 use afd_stream::RowDelta;
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Resident-set size of this process, from `/proc` (Linux only; `None`
 /// elsewhere — the JSON records 0 and says so in the note).
@@ -53,16 +53,6 @@ fn rss_bytes() -> Option<u64> {
 #[cfg(not(target_os = "linux"))]
 fn rss_bytes() -> Option<u64> {
     None
-}
-
-fn percentile(sorted: &[Duration], p: usize) -> u128 {
-    let idx = (sorted.len() * p / 100).min(sorted.len() - 1);
-    sorted[idx].as_nanos()
-}
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// A single-insert delta, deterministic in `i`, inside the fixture's
@@ -185,11 +175,10 @@ fn main() {
     );
     let stats_after_apply = serve.stats();
     let rss_serving = rss_bytes().unwrap_or(0);
-    latencies.sort_unstable();
     let (p50, p99, worst) = (
-        percentile(&latencies, 50),
-        percentile(&latencies, 99),
-        percentile(&latencies, 100),
+        percentile(&latencies, 0.50).as_nanos(),
+        percentile(&latencies, 0.99).as_nanos(),
+        percentile(&latencies, 1.0).as_nanos(),
     );
 
     // Backpressure is a typed rejection at the serve boundary.
@@ -217,8 +206,8 @@ fn main() {
         serve.scores(h, 0).expect("first touch restores");
         restore_times.push(start.elapsed());
     }
-    let evict_ns = median(evict_times).as_nanos();
-    let restore_ns = median(restore_times).as_nanos();
+    let evict_ns = median(&evict_times).as_nanos();
+    let restore_ns = median(&restore_times).as_nanos();
 
     // ------------------------------------------------------- report
     let mut json = String::from("{\n  \"benchmarks\": [\n");

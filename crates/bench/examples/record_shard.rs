@@ -19,17 +19,12 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per shard
 //! count so CI can exercise the full path in well under a second.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd};
 use afd_stream::{ChurnPlanner, DeltaRouter, ShardedSession, StreamSession};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 struct Record {
     shards: usize,
@@ -99,7 +94,7 @@ fn main() {
             means.push(per_shard.iter().sum::<Duration>() / shards as u32);
             maxes.push(per_shard.iter().max().copied().unwrap_or_default());
         }
-        let mean_shard = median(means);
+        let mean_shard = median(&means);
         if shards == 1 {
             single_baseline = mean_shard;
         }
@@ -107,7 +102,7 @@ fn main() {
             shards,
             delta_rows: k,
             mean_shard,
-            max_shard: median(maxes),
+            max_shard: median(&maxes),
             single: single_baseline,
         });
     }

@@ -17,18 +17,13 @@
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per ratio so
 //! CI can exercise the full path in well under a second.
 
-use afd_bench::fixture_relation;
+use afd_bench::{fixture_relation, median};
 use afd_core::fast_measures;
 use afd_relation::{AttrId, Fd};
 use afd_stream::{ChurnPlanner, StreamScores, StreamSession};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 struct Record {
     ratio: usize,
@@ -61,7 +56,7 @@ fn main() {
     // per refresh — re-encode both sides, build the table, score the fast
     // measure family. Timed on a materialised relation of the same size.
     let batch = median(
-        (0..samples.max(3))
+        &(0..samples.max(3))
             .map(|_| {
                 let start = Instant::now();
                 let t = fd.contingency(&fixture);
@@ -70,7 +65,7 @@ fn main() {
                 }
                 start.elapsed()
             })
-            .collect(),
+            .collect::<Vec<_>>(),
     );
 
     let mut session = StreamSession::from_relation(fixture.clone());
@@ -90,7 +85,7 @@ fn main() {
         records.push(Record {
             ratio,
             delta_rows: k,
-            incremental: median(timings),
+            incremental: median(&timings),
             batch,
         });
     }

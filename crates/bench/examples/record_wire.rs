@@ -1,4 +1,4 @@
-//! Records wire-codec throughput and process-backend apply overhead
+//! Records wire-codec throughput and spawned-worker apply overhead
 //! into `BENCH_wire.json`.
 //!
 //! ```text
@@ -13,11 +13,12 @@
 //!   framed `SessionSnapshot` (checksum verification included).
 //! * **Process-backend apply overhead** — the same churn deltas applied
 //!   to a 2-shard in-process `ShardedSession` and a 2-worker
-//!   `ShardedSession<ProcessShard>` (spawning the workspace's own `afd`
-//!   binary from `target/<profile>/`), merged score reads asserted
-//!   bit-identical after every delta. The recorded ratio is the price of
-//!   crash isolation: route + encode + pipe + worker apply + state
-//!   patch encode/decode/apply, versus an in-memory apply.
+//!   `ShardedSession<TcpShard>` (spawning the workspace's own `afd`
+//!   binary from `target/<profile>/` as loopback `shard-worker --listen`
+//!   children), merged score reads asserted bit-identical after every
+//!   delta. The recorded ratio is the price of crash isolation: route +
+//!   encode + socket + worker apply + state patch encode/decode/apply,
+//!   versus an in-memory apply.
 //!
 //! `--smoke` shrinks the fixture to 4 096 rows and one sample per
 //! workload so CI exercises the full path (worker processes included)
@@ -26,20 +27,13 @@
 //! Requires `target/<profile>/afd` to exist (`cargo build --release`
 //! first); the example exits with a clear error otherwise.
 
-use afd_bench::fixture_relation;
+use afd_bench::{afd_worker, fixture_relation, median};
 use afd_relation::{AttrId, AttrSet, Fd, Relation};
-use afd_stream::{
-    ChurnPlanner, ProcessShard, RowDelta, SessionSnapshot, ShardedSession, WorkerCommand,
-};
+use afd_stream::{ChurnPlanner, RowDelta, SessionSnapshot, ShardedSession, TcpShard};
 use afd_wire::{Decode, Encode};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-fn median(mut samples: Vec<Duration>) -> Duration {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
 
 fn mib_per_s(bytes: usize, d: Duration) -> f64 {
     bytes as f64 / (1 << 20) as f64 / d.as_secs_f64().max(1e-12)
@@ -91,24 +85,19 @@ fn main() {
         assert_eq!(back, snap, "framed round-trip must be exact");
     }
     let (enc, dec, frame) = (
-        median(encode_times),
-        median(decode_times),
-        median(frame_times),
+        median(&encode_times),
+        median(&decode_times),
+        median(&frame_times),
     );
 
     // ------------------------------- process vs in-process apply cost
-    let worker = WorkerCommand::sibling_binary("afd").unwrap_or_else(|| {
-        eprintln!(
-            "FAIL: could not find the `afd` binary next to this example; \
-             run `cargo build --release` (or --profile matching this run) first"
-        );
-        std::process::exit(1);
-    });
+    let worker = afd_worker();
     let mut inproc =
         ShardedSession::from_relation(fixture.clone(), key.clone(), 2).expect("in-process session");
     let ci = inproc.subscribe(fd.clone()).expect("2-attr fixture");
-    let mut proc: ShardedSession<ProcessShard> =
-        ShardedSession::spawn_from_relation(fixture.clone(), key.clone(), 2, &worker)
+    let mut proc: ShardedSession<TcpShard> =
+        ShardedSession::spawn(fixture.schema().clone(), key.clone(), 2, &worker)
+            .and_then(|s| s.seeded(&fixture))
             .expect("worker processes spawn");
     let cp = proc.subscribe(fd.clone()).expect("2-attr fixture");
     let mut planner_a = ChurnPlanner::new(&fixture);
@@ -132,7 +121,7 @@ fn main() {
     proc.compact().expect("worker-side compaction verifies");
     inproc.compact().expect("in-process compaction verifies");
     assert!(proc.scores(cp).bits_eq(&inproc.scores(ci)));
-    let (t_in, t_proc) = (median(inproc_times), median(proc_times));
+    let (t_in, t_proc) = (median(&inproc_times), median(&proc_times));
     let overhead = t_proc.as_secs_f64() / t_in.as_secs_f64().max(1e-12);
 
     // ------------------------------------------------------- report
@@ -167,10 +156,9 @@ fn main() {
          encode/decode of the fixture (round-trip asserted code-identical); \
          framed_snapshot_roundtrip = SessionSnapshot to_bytes + from_bytes including FNV \
          checksum verification; process_backend_apply = one churn delta through a 2-worker \
-         ShardedSession<ProcessShard> (afd shard-worker children, stdin/stdout wire frames, \
-         a patch of the touched IncTable groups and columns decoded back) vs a 2-shard \
-         in-process session, \
-         merged score reads asserted bit-identical after every delta and after worker-side \
+         ShardedSession<TcpShard> (spawned afd shard-worker --listen children, wire frames \
+         over loopback TCP, a patch of the touched IncTable groups and columns decoded back) \
+         vs a 2-shard in-process session, merged score reads asserted bit-identical after every delta and after worker-side \
          compaction\"\n}}\n"
     );
     std::fs::write(&out_path, json).expect("write JSON");

@@ -1,9 +1,11 @@
 //! # afd-bench
 //!
 //! Criterion benchmarks for the AFD measure study. The benches live in
-//! `benches/`; this library only hosts shared fixture builders so the
-//! bench targets stay small.
+//! `benches/` and the `BENCH_*.json` recorders in `examples/`; this
+//! library only hosts the shared fixture builders and sample statistics
+//! so those targets stay small.
 
+use afd_net::WorkerCommand;
 use afd_relation::{AttrId, AttrSet, ContingencyTable, Relation};
 use afd_synth::{generate_positive, GenParams};
 use rand::rngs::StdRng;
@@ -30,6 +32,37 @@ pub fn fixture_table(n: usize, seed: u64) -> ContingencyTable {
     )
 }
 
+/// The workspace's `afd` binary next to the running example, as a shard
+/// worker command; exits 1 with a build hint when it is missing.
+pub fn afd_worker() -> WorkerCommand {
+    WorkerCommand::sibling_binary("afd").unwrap_or_else(|| {
+        eprintln!(
+            "FAIL: could not find the `afd` binary next to this example; \
+             run `cargo build --release` (or --profile matching this run) first"
+        );
+        std::process::exit(1);
+    })
+}
+
+/// The nearest-rank `p`-quantile of `samples` (`p` in `0.0..=1.0`): the
+/// sorted sample at index `round((len - 1) * p)`.
+///
+/// # Panics
+/// On an empty slice.
+pub fn percentile<T: Ord + Copy>(samples: &[T], p: f64) -> T {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+}
+
+/// The median (the upper one for an even count): `percentile(samples, 0.5)`.
+///
+/// # Panics
+/// On an empty slice.
+pub fn median<T: Ord + Copy>(samples: &[T]) -> T {
+    percentile(samples, 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -40,5 +73,15 @@ mod tests {
         assert_eq!(t.n(), 1024);
         assert!(t.n_x() <= 128);
         assert!(!t.is_exact_fd());
+    }
+
+    #[test]
+    fn percentiles_pick_nearest_ranks() {
+        assert_eq!(median(&[3, 1, 2]), 2);
+        assert_eq!(median(&[4, 1, 3, 2]), 3);
+        let hundred: Vec<u32> = (1..=100).rev().collect();
+        assert_eq!(percentile(&hundred, 0.0), 1);
+        assert_eq!(percentile(&hundred, 0.99), 99);
+        assert_eq!(percentile(&hundred, 1.0), 100);
     }
 }

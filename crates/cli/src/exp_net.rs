@@ -3,12 +3,13 @@
 //!
 //! Three roles, one wire format (afd-wire frames over TCP):
 //!
-//! * `afd shard-worker --listen ADDR` — the TCP twin of the stdio shard
-//!   worker: binds a listener, prints `listening on <addr>` (the real
-//!   port when `ADDR` ends in `:0`), and serves the shard-worker
-//!   protocol one connection at a time per session, forever. A dropped
-//!   connection is the TCP analogue of a killed child: the supervisor
-//!   reconnects and replays.
+//! * `afd shard-worker --listen ADDR` — the out-of-process shard: binds
+//!   a listener, prints `listening on <addr>` (the real port when `ADDR`
+//!   ends in `:0`) as its only stdout line, and serves the shard-worker
+//!   protocol, one session per connection, forever. Coordinators either
+//!   launch one per shard on `127.0.0.1:0` and read that line, or dial a
+//!   listener started by hand. A dropped connection ends its session:
+//!   the supervisor reconnects and replays.
 //! * `afd serve --listen ADDR` — the socket front door over the
 //!   multi-tenant serving layer: accepts typed register / enqueue /
 //!   tick / scores / release requests until a client sends shutdown,
@@ -31,51 +32,37 @@ use afd_serve::{
 };
 
 use crate::exp_serve::{scripted_delta, template_engine};
-use crate::exp_snapshot;
 
-/// `afd shard-worker [--listen ADDR]`: stdio protocol by default, a TCP
-/// listener with `--listen`.
+/// `afd shard-worker --listen ADDR`: serves until the accept loop fails.
 pub fn shard_worker(args: &[String]) -> ExitCode {
-    match args {
-        [] => exp_snapshot::shard_worker(),
-        [flag, addr] if flag == "--listen" => shard_worker_listen(addr),
+    let err = match args {
+        [flag, addr] if flag == "--listen" => match listen(addr) {
+            Ok(listener) => format!(
+                "accept loop failed: {}",
+                afd_stream::run_worker_listener(listener)
+            ),
+            Err(e) => e,
+        },
         _ => {
-            eprintln!("usage: afd shard-worker [--listen ADDR]");
-            ExitCode::FAILURE
+            eprintln!("usage: afd shard-worker --listen ADDR");
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    eprintln!("shard-worker: {err}");
+    ExitCode::FAILURE
 }
 
-fn shard_worker_listen(addr: &str) -> ExitCode {
-    let addr = match parse_listen_addr(addr) {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("shard-worker: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let listener = match std::net::TcpListener::bind(addr) {
-        Ok(listener) => listener,
-        Err(e) => {
-            eprintln!("shard-worker: bind {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match listener.local_addr() {
-        Ok(local) => {
-            // Supervisors (and tests) read this line to learn the real
-            // port when bound to `:0`.
-            println!("listening on {local}");
-            let _ = std::io::stdout().flush();
-        }
-        Err(e) => {
-            eprintln!("shard-worker: local_addr: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let err = afd_stream::run_worker_listener(listener);
-    eprintln!("shard-worker: accept loop failed: {err}");
-    ExitCode::FAILURE
+/// Binds `addr` and announces the bound address on stdout: supervisors
+/// (and tests) read this line to learn the real port when bound to `:0`.
+fn listen(addr: &str) -> Result<std::net::TcpListener, String> {
+    let addr = parse_listen_addr(addr).map_err(|e| e.to_string())?;
+    let listener = std::net::TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| format!("local_addr: {e}"))?;
+    println!("listening on {local}");
+    let _ = std::io::stdout().flush();
+    Ok(listener)
 }
 
 /// `afd serve --listen` flags.

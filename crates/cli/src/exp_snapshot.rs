@@ -1,9 +1,5 @@
-//! `shard-worker`, `save` and `load`: the process topology's CLI face.
+//! `save` and `load`: persisted sessions on the command line.
 //!
-//! * `afd shard-worker` — the out-of-process shard: a blank
-//!   `StreamSession` driven over stdin/stdout by `afd-wire` frames. The
-//!   coordinator (`ProcessShard`) spawns one per shard; nothing else
-//!   ever writes to this process's stdout.
 //! * `afd save <in.csv> <out.snapshot>` — ingest a CSV, subscribe every
 //!   violated linear candidate, and persist the session as one framed,
 //!   checksummed wire snapshot.
@@ -12,7 +8,6 @@
 
 use std::fs::File;
 use std::io::BufReader;
-use std::process::ExitCode;
 
 use afd_engine::{
     violated_candidates, AfdEngine, RestoreRequest, SnapshotRequest, SubscribeRequest,
@@ -20,19 +15,6 @@ use afd_engine::{
 use afd_stream::StreamScores;
 
 use crate::render::{f3, TextTable};
-
-/// Runs the shard-worker loop over this process's stdin/stdout.
-pub fn shard_worker() -> ExitCode {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    match afd_stream::run_worker(stdin.lock(), stdout.lock()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("shard-worker: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
 
 /// `afd save <in.csv> <out.snapshot>`.
 ///

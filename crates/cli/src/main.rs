@@ -36,9 +36,9 @@
 //!            bit-identity against an in-process twin (own flags:
 //!            --token t, --tenant s, --rows n, --seed n, --deltas n,
 //!            --shutdown)
-//!   shard-worker  out-of-process shard speaking afd-wire over stdin/stdout
-//!                 (spawned by the engine's process backend, not by hand);
-//!                 --listen ADDR serves the same protocol over TCP
+//!   shard-worker --listen ADDR  out-of-process shard serving afd-wire
+//!                 over TCP (the engine's process backend launches one per
+//!                 shard on 127.0.0.1:0; start one by hand to dial it)
 //!   all      everything above (paper artifacts + extensions)
 //!
 //! flags:
@@ -81,7 +81,7 @@ use ctx::{Config, RwdEval};
 const USAGE: &str = "usage: afd <experiment> [--scale f] [--seed n] [--threads n] \
 [--budget-ms n] [--paper-scale] [--shards n] [--checkpoint-every n] [--retry-budget n] \
 [--out dir]\n\
-experiments: fig1 fig3 table2 fig2a fig2b fig2c fig4 table3 table5 table7 table8 table9\n             nonlinear mc-rfi stream export-rwd all | profile <file.csv> [--measure m] [--max-lhs k]\n             save <in.csv> <out.snapshot> | load <snapshot> | shard-worker [--listen addr]\n             serve [--sessions n] [--resident-cap n] [--ticks n] [--queue-cap n]\n                   [--global-cap n] [--rows n] [--seed n] [--spill-dir d] [--process] [--recover]\n             serve --listen addr [--auth-token t] [--max-connections n] [--spill-dir d] [--park]\n             connect addr [--token t] [--tenant s] [--rows n] [--seed n] [--deltas n] [--shutdown]";
+experiments: fig1 fig3 table2 fig2a fig2b fig2c fig4 table3 table5 table7 table8 table9\n             nonlinear mc-rfi stream export-rwd all | profile <file.csv> [--measure m] [--max-lhs k]\n             save <in.csv> <out.snapshot> | load <snapshot> | shard-worker --listen addr\n             serve [--sessions n] [--resident-cap n] [--ticks n] [--queue-cap n]\n                   [--global-cap n] [--rows n] [--seed n] [--spill-dir d] [--process] [--recover]\n             serve --listen addr [--auth-token t] [--max-connections n] [--spill-dir d] [--park]\n             connect addr [--token t] [--tenant s] [--rows n] [--seed n] [--deltas n] [--shutdown]";
 
 fn parse_flags(args: &[String]) -> Result<Config, String> {
     let mut cfg = Config::default();

@@ -1,388 +1,44 @@
-//! End-to-end tests of the TCP shard topology: real
-//! `afd shard-worker --listen` processes serving the worker protocol
-//! over loopback sockets, driven by `ShardedSession<TcpShard>` and the
-//! engine's `StreamBackend::Tcp`.
-//!
-//! The pinning property (ISSUE 10's acceptance bar): for N ∈ {1, 2, 4}
-//! TCP workers, over random insert/delete sequences, a TCP-backed
-//! session's score reads are **bit-identical** (`f64::to_bits`) to the
-//! in-process backend, to stdio process workers, and to an unsharded
-//! session — including across a killed or stalled TCP worker healed by
-//! the existing supervisor path (reconnect is the respawn analogue).
+//! End-to-end tests of dialed shard workers: `afd shard-worker --listen`
+//! processes the test launches itself, reached by address through
+//! `TcpShard::connect` and the engine's `StreamBackend::Tcp`. The
+//! checks are the ones `process_shard.rs` runs on spawned workers
+//! (shared in `common`): for N ∈ {1, 2, 4} dialed workers, score reads
+//! are bit-identical (`f64::to_bits`) to the in-process backend, to
+//! spawned workers and to an unsharded session, including across a
+//! killed, corrupted or stalled connection healed by the supervisor's
+//! redial-restore-replay path.
 
-use std::io::BufRead;
-use std::process::{Child, Command, Stdio};
+mod common;
 
-use afd_engine::{AfdEngine, DeltaRequest, EngineConfig, StreamBackend, SubscribeRequest};
-use afd_relation::{AttrId, AttrSet, Fd, Schema, Value};
-use afd_stream::{
-    ProcessShard, RecoveryConfig, RowDelta, RowId, ShardedSession, StreamSession, TcpShard,
-    WorkerCommand, WorkerFault, WorkerFaultKind, AFD_WORKER_FAULTS_ENV,
-};
+use common::*;
 use proptest::prelude::*;
 
-fn schema3() -> Schema {
-    Schema::new(["A", "B", "C"]).unwrap()
-}
-
-fn row(a: i64, b: i64, c: i64) -> Vec<Value> {
-    vec![Value::Int(a), Value::Int(b), Value::Int(c)]
-}
-
-/// A live `afd shard-worker --listen` child; killed on drop so a failed
-/// assertion never leaks listeners.
-struct TcpWorker {
-    child: Child,
-    addr: String,
-}
-
-impl TcpWorker {
-    /// Spawns a listener on a free loopback port and reads the bound
-    /// address back from its announcement line.
-    fn spawn(envs: &[(&str, String)]) -> TcpWorker {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_afd"));
-        cmd.args(["shard-worker", "--listen", "127.0.0.1:0"])
-            .stdin(Stdio::null())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        let mut child = cmd.spawn().expect("worker listener spawns");
-        let stdout = child.stdout.take().expect("stdout piped");
-        let mut line = String::new();
-        std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("worker announces its address");
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .expect("announcement has an address")
-            .to_string();
-        assert!(
-            line.starts_with("listening on"),
-            "unexpected announcement: {line:?}"
-        );
-        TcpWorker { child, addr }
-    }
-}
-
-impl Drop for TcpWorker {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn tcp_session(workers: &[TcpWorker]) -> ShardedSession<TcpShard> {
-    let key = AttrSet::single(AttrId(0));
-    let backends: Vec<TcpShard> = workers
-        .iter()
-        .map(|w| TcpShard::connect(&w.addr, &schema3()).expect("dial worker"))
-        .collect();
-    ShardedSession::with_backends(schema3(), key, backends).expect("valid topology")
-}
-
-/// One stream event: op selector, delete-target pick, cell values.
-type Event = (u8, u32, (Option<i64>, Option<i64>, Option<i64>));
-
-fn events() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec(
-        (
-            0u8..4,
-            0u32..4096,
-            (
-                prop::option::weighted(0.85, 0i64..5),
-                prop::option::weighted(0.85, 0i64..4),
-                prop::option::weighted(0.85, 0i64..3),
-            ),
-        ),
-        1..20,
-    )
-}
-
-struct Mirror {
-    live: Vec<RowId>,
-    next_id: RowId,
-}
-
-impl Mirror {
-    fn new() -> Self {
-        Mirror {
-            live: Vec::new(),
-            next_id: 0,
-        }
-    }
-
-    fn delta_from(&mut self, chunk: &[Event]) -> RowDelta {
-        let base = self.next_id;
-        let mut delta = RowDelta::new();
-        for &(sel, pick, (a, b, c)) in chunk {
-            let deletable: Vec<RowId> = self
-                .live
-                .iter()
-                .copied()
-                .filter(|&id| id < base && !delta.deletes.contains(&id))
-                .collect();
-            if sel == 0 && !deletable.is_empty() {
-                let id = deletable[pick as usize % deletable.len()];
-                delta.deletes.push(id);
-                self.live.retain(|&l| l != id);
-            } else {
-                delta
-                    .inserts
-                    .push(vec![Value::from(a), Value::from(b), Value::from(c)]);
-                self.live.push(self.next_id);
-                self.next_id += 1;
-            }
-        }
-        delta
-    }
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn tcp_workers_match_in_process_stdio_and_unsharded_bit_exactly(events in events()) {
-        let key = AttrSet::single(AttrId(0));
-        let fds = [
-            Fd::linear(AttrId(0), AttrId(1)),
-            Fd::linear(AttrId(0), AttrId(2)),
-        ];
-        // Four topologies under comparison: unsharded, in-process
-        // sharded, stdio process workers, and TCP workers for
-        // N ∈ {1, 2, 4}.
-        let mut single = StreamSession::new(schema3());
-        let mut inproc = ShardedSession::new(schema3(), key.clone(), 2).unwrap();
-        let mut stdio: ShardedSession<ProcessShard> = ShardedSession::spawn(
-            schema3(),
-            key.clone(),
-            2,
-            &WorkerCommand::new(env!("CARGO_BIN_EXE_afd")),
-        )
-        .expect("stdio workers spawn");
-        let worker_sets: Vec<Vec<TcpWorker>> = [1usize, 2, 4]
-            .iter()
-            .map(|&n| (0..n).map(|_| TcpWorker::spawn(&[])).collect())
-            .collect();
-        let mut tcp: Vec<ShardedSession<TcpShard>> =
-            worker_sets.iter().map(|ws| tcp_session(ws)).collect();
-        let mut cids = Vec::new();
-        for fd in &fds {
-            let cid = single.subscribe(fd.clone()).unwrap();
-            prop_assert_eq!(inproc.subscribe(fd.clone()).unwrap(), cid);
-            prop_assert_eq!(stdio.subscribe(fd.clone()).unwrap(), cid);
-            for t in &mut tcp {
-                prop_assert_eq!(t.subscribe(fd.clone()).unwrap(), cid);
-            }
-            cids.push(cid);
+        let mut remote = Vec::new();
+        let mut listeners = Vec::new();
+        for n in [1usize, 2, 4] {
+            let (s, owned) = session(Topology::Dialed, &vec![worker(); n]);
+            remote.push(s);
+            listeners.extend(owned);
         }
-        let mut mirror = Mirror::new();
-        for chunk in events.chunks(5) {
-            let delta = mirror.delta_from(chunk);
-            single.apply(&delta).unwrap();
-            inproc.apply(&delta).unwrap();
-            stdio.apply(&delta).unwrap();
-            for t in &mut tcp {
-                t.apply(&delta).unwrap();
-            }
-            for &cid in &cids {
-                let want = single.scores(cid);
-                prop_assert!(inproc.scores(cid).bits_eq(&want));
-                prop_assert!(stdio.scores(cid).bits_eq(&want));
-                for t in &tcp {
-                    prop_assert!(
-                        t.scores(cid).bits_eq(&want),
-                        "TcpShard({}) diverged for candidate {}",
-                        t.n_shards(), cid
-                    );
-                }
-            }
-        }
-        // Worker-side compaction (batch-kernel verification inside the
-        // remote process) passes over TCP and keeps reads bit-identical.
-        for t in &mut tcp {
-            let before: Vec<_> = cids.iter().map(|&cid| t.scores(cid)).collect();
-            t.compact().expect("worker-side compaction verifies");
-            for (&cid, b) in cids.iter().zip(&before) {
-                prop_assert!(t.scores(cid).bits_eq(b));
-            }
-        }
-        for t in tcp.drain(..) {
-            prop_assert!(t.shutdown().clean());
-        }
+        // Spawned workers beside the dialed ones: the same bits whoever
+        // launched the listener.
+        let (spawned, _) = session(Topology::Spawned, &[worker(), worker()]);
+        remote.push(spawned);
+        check_remote_sessions(&events, remote)?;
     }
-}
-
-fn fixture_rows() -> Vec<Vec<Value>> {
-    (0..48)
-        .map(|i| row(i % 9, (i % 9) * 2 + i64::from(i == 13), i % 4))
-        .collect()
-}
-
-fn twin_with(deltas: &[RowDelta]) -> (StreamSession, usize) {
-    let mut single = StreamSession::new(schema3());
-    let cid = single.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-    for d in deltas {
-        single.apply(d).unwrap();
-    }
-    (single, cid)
-}
-
-#[test]
-fn severed_tcp_worker_is_reconnected_and_replayed() {
-    // sever() drops the coordinator's connection mid-session — the TCP
-    // analogue of killing a stdio child. The supervisor reconnects,
-    // restores the checkpoint, replays, and reads stay bit-identical.
-    let workers = [TcpWorker::spawn(&[]), TcpWorker::spawn(&[])];
-    let mut s = tcp_session(&workers)
-        .with_recovery(RecoveryConfig {
-            checkpoint_every: 2,
-            backoff_ms: 0,
-            ..RecoveryConfig::default()
-        })
-        .expect("valid recovery config");
-    assert!(s.recovery_enabled(), "tcp shards support recovery");
-    let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-    let seed = RowDelta::insert_only(fixture_rows());
-    s.apply(&seed).unwrap();
-
-    s.backend_mut(1).sever();
-    let follow_up = RowDelta {
-        inserts: vec![row(1, 1, 1), row(2, 2, 2)],
-        deletes: vec![3, 11],
-    };
-    s.apply(&follow_up).unwrap();
-
-    let (single, scid) = twin_with(&[seed, follow_up]);
-    assert!(s.scores(cid).bits_eq(&single.scores(scid)));
-    let report = s.recovery_report();
-    assert!(report.total_respawns() >= 1, "{report:?}");
-    assert_eq!(report.shards[0].respawns, 0, "shard 0 never failed");
-    assert!(s.shutdown().clean());
 }
 
 #[test]
 fn killed_and_stalled_tcp_sessions_recover_bit_identically() {
-    // The listener arms the injected fault on its *first* connection
-    // only (the TCP analogue of stripping the fault env on respawn), so
-    // a killed session's reconnect serves clean. Site 4 lands
-    // mid-stream: init(1), subscribe(2), then applies.
-    let faults = [
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Kill,
-        },
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Stall { millis: 5_000 },
-        },
-    ];
-    for fault in faults {
-        let timeout_ms = match fault.kind {
-            WorkerFaultKind::Stall { .. } => 300,
-            _ => 10_000,
-        };
-        let workers = [
-            TcpWorker::spawn(&[]),
-            TcpWorker::spawn(&[(AFD_WORKER_FAULTS_ENV, fault.to_env())]),
-        ];
-        let mut s = tcp_session(&workers)
-            .with_recovery(RecoveryConfig {
-                checkpoint_every: 2,
-                retry_budget: 3,
-                backoff_ms: 0,
-                request_timeout_ms: timeout_ms,
-            })
-            .expect("valid recovery config");
-        let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-        let deltas = [
-            RowDelta::insert_only(fixture_rows()),
-            RowDelta {
-                inserts: vec![row(5, 5, 0), row(6, 6, 1)],
-                deletes: vec![2],
-            },
-            RowDelta {
-                inserts: vec![row(7, 7, 2)],
-                deletes: vec![8, 13],
-            },
-        ];
-        for d in &deltas {
-            s.apply(d).unwrap_or_else(|e| panic!("{fault:?}: {e}"));
-        }
-        let (single, scid) = twin_with(&deltas);
-        assert!(
-            s.scores(cid).bits_eq(&single.scores(scid)),
-            "{fault:?} diverged"
-        );
-        let report = s.recovery_report();
-        assert!(report.total_respawns() >= 1, "{fault:?} never fired");
-        assert_eq!(report.shards[0].respawns, 0, "wrong shard blamed");
-        assert!(s.shutdown().clean());
-    }
+    check_every_fault_kind_recovers(Topology::Dialed);
 }
 
 #[test]
 fn engine_tcp_backend_matches_in_process_bit_exactly() {
-    let workers = [TcpWorker::spawn(&[]), TcpWorker::spawn(&[])];
-    let base = afd_relation::Relation::from_pairs(
-        (0..64).map(|i| (i % 8, if i == 5 { 99 } else { (i % 8) * 3 })),
-    );
-    let fd = Fd::linear(AttrId(0), AttrId(1));
-    let mk = |backend: StreamBackend| {
-        AfdEngine::from_relation(base.clone())
-            .with_config(EngineConfig {
-                shards: 2,
-                shard_key: Some(AttrSet::single(AttrId(0))),
-                backend,
-                ..EngineConfig::default()
-            })
-            .unwrap()
-    };
-    let mut inproc = mk(StreamBackend::InProcess);
-    let mut tcp = mk(StreamBackend::Tcp(
-        workers.iter().map(|w| w.addr.clone()).collect(),
-    ));
-    let ci = inproc
-        .subscribe(&SubscribeRequest::new(fd.clone()))
-        .unwrap();
-    let ct = tcp.subscribe(&SubscribeRequest::new(fd)).unwrap();
-    let delta = RowDelta {
-        inserts: vec![
-            vec![Value::Int(3), Value::Int(9)],
-            vec![Value::Int(1), Value::Int(3)],
-        ],
-        deletes: vec![5, 17, 40],
-    };
-    inproc.delta(&DeltaRequest::new(delta.clone())).unwrap();
-    tcp.delta(&DeltaRequest::new(delta)).unwrap();
-    assert!(tcp
-        .scores(ct.candidate)
-        .unwrap()
-        .bits_eq(&inproc.scores(ci.candidate).unwrap()));
-    assert!(tcp.shutdown().clean());
-}
-
-#[test]
-fn one_listener_serves_sequential_sessions() {
-    // Connection = incarnation: after one session shuts down cleanly,
-    // the same listener process serves a fresh one from scratch.
-    let workers = [TcpWorker::spawn(&[])];
-    for round in 0..2 {
-        let mut s = tcp_session(&workers);
-        let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-        s.apply(&RowDelta::insert_only([
-            row(round, round, 0),
-            row(round, 9, 1),
-        ]))
-        .unwrap();
-        let (single, scid) = twin_with(&[RowDelta::insert_only([
-            row(round, round, 0),
-            row(round, 9, 1),
-        ])]);
-        assert!(s.scores(cid).bits_eq(&single.scores(scid)));
-        assert!(s.shutdown().clean());
-    }
+    check_engine_twin_and_save_restore(Topology::Dialed);
 }

@@ -1,217 +1,64 @@
 //! End-to-end tests of the out-of-process shard topology: real
-//! `afd shard-worker` child processes (the binary Cargo built for this
-//! test run) driven by `ShardedSession<ProcessShard>` and the engine's
-//! process backend.
+//! `afd shard-worker --listen` processes (the binary Cargo built for
+//! this test run) serving the worker protocol over loopback TCP. The
+//! bit-identity, fault-kind and engine twin checks here run on workers
+//! **spawned** and owned by their shard (`TcpShard::spawn`,
+//! `ShardedSession::spawn`, the engine's `StreamBackend::Process`);
+//! `net_shard.rs` runs the same checks on workers the test launches and
+//! **dialed** by address (`TcpShard::connect`, `StreamBackend::Tcp`).
+//! The remaining tests here cover both kinds.
 //!
-//! The pinning property (the ISSUE's acceptance bar): for N ∈ {1, 2, 4}
-//! worker processes, over random insert/delete sequences, a
-//! process-backed session's score reads are **bit-identical**
-//! (`f64::to_bits`) to the in-process backend, to an unsharded session,
-//! and to a from-scratch rebuild through the batch kernels. Plus the
-//! self-healing fault path: a worker killed, corrupted or stalled
-//! mid-delta is respawned, restored from its checkpoint and replayed —
-//! post-recovery reads stay bit-identical to a fault-free unsharded
-//! session, no request ever blocks without a deadline, and poisoning
-//! only happens once the retry budget is exhausted.
+//! The pinning property: for N ∈ {1, 2, 4} workers, over random
+//! insert/delete sequences, a worker-backed session's score reads are
+//! **bit-identical** (`f64::to_bits`) to the in-process backend, to an
+//! unsharded session, and to a from-scratch rebuild through the batch
+//! kernels. Plus the self-healing fault path: a worker killed, severed,
+//! corrupted or stalled mid-delta is relaunched or redialed, restored
+//! from its checkpoint and replayed — post-recovery reads stay
+//! bit-identical to a fault-free unsharded session, no request ever
+//! blocks without a deadline, and poisoning only happens once the retry
+//! budget is exhausted.
 
-use std::process::{Command, Stdio};
+mod common;
+
+use std::io::Write as _;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::process::Command;
 use std::time::{Duration, Instant};
 
-use afd_engine::{
-    AfdEngine, DeltaRequest, EngineConfig, RestoreRequest, SnapshotRequest, StreamBackend,
-    SubscribeRequest,
-};
-use afd_relation::{AttrId, AttrSet, Fd, Schema, Value};
+use afd_engine::{DeltaRequest, StreamBackend, SubscribeRequest};
+use afd_net::{TcpTransport, Transport as _};
+use afd_relation::{AttrId, AttrSet, Fd, Value};
 use afd_stream::{
-    ProcessShard, RecoveryConfig, RowDelta, RowId, ShardBackend as _, ShardedSession, StreamError,
-    StreamSession, TransportErrorKind, WorkerCommand, WorkerFault, WorkerFaultKind,
-    AFD_WORKER_FAULTS_ENV,
+    RecoveryConfig, RemoteShard, RowDelta, RowId, ShardBackend as _, ShardedSession, StreamError,
+    StreamScores, TcpShard, TransportErrorKind, WorkerCommand, WorkerFault, WorkerFaultKind,
 };
+use common::*;
 use proptest::prelude::*;
 
-fn worker() -> WorkerCommand {
-    WorkerCommand::new(env!("CARGO_BIN_EXE_afd"))
-}
-
-fn schema3() -> Schema {
-    Schema::new(["A", "B", "C"]).unwrap()
-}
-
-fn row(a: i64, b: i64, c: i64) -> Vec<Value> {
-    vec![Value::Int(a), Value::Int(b), Value::Int(c)]
-}
-
-fn fixture_rows() -> Vec<Vec<Value>> {
-    (0..48)
-        .map(|i| row(i % 9, (i % 9) * 2 + i64::from(i == 13), i % 4))
-        .collect()
-}
-
-/// One stream event: op selector, delete-target pick, cell values
-/// (None = NULL).
-type Event = (u8, u32, (Option<i64>, Option<i64>, Option<i64>));
-
-fn events() -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec(
-        (
-            0u8..4, // 0 => delete (when possible), else insert
-            0u32..4096,
-            (
-                prop::option::weighted(0.85, 0i64..5),
-                prop::option::weighted(0.85, 0i64..4),
-                prop::option::weighted(0.85, 0i64..3),
-            ),
-        ),
-        1..28,
-    )
-}
-
-/// Mirror of live row ids maintained alongside the sessions, turning
-/// random events into valid deltas.
-struct Mirror {
-    live: Vec<RowId>,
-    next_id: RowId,
-}
-
-impl Mirror {
-    fn new() -> Self {
-        Mirror {
-            live: Vec::new(),
-            next_id: 0,
-        }
-    }
-
-    fn delta_from(&mut self, chunk: &[Event]) -> RowDelta {
-        let base = self.next_id;
-        let mut delta = RowDelta::new();
-        for &(sel, pick, (a, b, c)) in chunk {
-            let deletable: Vec<RowId> = self
-                .live
-                .iter()
-                .copied()
-                .filter(|&id| id < base && !delta.deletes.contains(&id))
-                .collect();
-            if sel == 0 && !deletable.is_empty() {
-                let id = deletable[pick as usize % deletable.len()];
-                delta.deletes.push(id);
-                self.live.retain(|&l| l != id);
-            } else {
-                delta
-                    .inserts
-                    .push(vec![Value::from(a), Value::from(b), Value::from(c)]);
-                self.live.push(self.next_id);
-                self.next_id += 1;
-            }
-        }
-        delta
-    }
-}
+const TOPOLOGIES: [Topology; 2] = [Topology::Spawned, Topology::Dialed];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn process_workers_match_in_process_and_unsharded_bit_exactly(events in events()) {
-        let key = AttrSet::single(AttrId(0));
-        let fds = [
-            Fd::linear(AttrId(0), AttrId(1)),
-            Fd::linear(AttrId(0), AttrId(2)),
-            Fd::new(
-                AttrSet::new([AttrId(0), AttrId(1)]),
-                AttrSet::single(AttrId(2)),
-            )
-            .unwrap(),
-        ];
-        // The three topologies under comparison: unsharded, in-process
-        // sharded, and process-backed for N ∈ {1, 2, 4}.
-        let mut single = StreamSession::new(schema3());
-        let mut inproc = ShardedSession::new(schema3(), key.clone(), 2).unwrap();
-        let mut procs: Vec<ShardedSession<ProcessShard>> = [1usize, 2, 4]
+        let remote = [1usize, 2, 4]
             .iter()
             .map(|&n| {
-                ShardedSession::spawn(schema3(), key.clone(), n, &worker())
+                ShardedSession::spawn(schema3(), AttrSet::single(AttrId(0)), n, &worker())
                     .expect("workers spawn")
             })
             .collect();
-        let mut cids = Vec::new();
-        for fd in &fds {
-            let cid = single.subscribe(fd.clone()).unwrap();
-            prop_assert_eq!(inproc.subscribe(fd.clone()).unwrap(), cid);
-            for p in &mut procs {
-                prop_assert_eq!(p.subscribe(fd.clone()).unwrap(), cid);
-            }
-            cids.push(cid);
-        }
-        let mut mirror = Mirror::new();
-        for chunk in events.chunks(5) {
-            let delta = mirror.delta_from(chunk);
-            single.apply(&delta).unwrap();
-            inproc.apply(&delta).unwrap();
-            for p in &mut procs {
-                p.apply(&delta).unwrap();
-            }
-            for &cid in &cids {
-                let want = single.scores(cid);
-                prop_assert!(inproc.scores(cid).bits_eq(&want));
-                for p in &procs {
-                    prop_assert!(
-                        p.scores(cid).bits_eq(&want),
-                        "ProcessShard({}) diverged for candidate {}: {:?} vs {:?}",
-                        p.n_shards(), cid, p.scores(cid), want
-                    );
-                }
-            }
-        }
-        // Bit-identical to the batch kernels: a fresh session rebuilt
-        // from the merged code-level snapshot (whose equivalence to the
-        // batch contingency/PLI kernels compaction verifies) reads the
-        // same bits.
-        let snap = procs[1].snapshot().expect("process snapshot");
-        prop_assert_eq!(snap.n_rows(), single.relation().n_live());
-        let mut fresh = StreamSession::from_relation(snap);
-        for (i, fd) in fds.iter().enumerate() {
-            let cid = fresh.subscribe(fd.clone()).unwrap();
-            prop_assert!(fresh.scores(cid).bits_eq(&single.scores(cids[i])));
-        }
-        // Worker-side compaction (batch-kernel verification inside the
-        // child process) passes and keeps every read bit-identical.
-        for p in &mut procs {
-            let before: Vec<_> = cids.iter().map(|&cid| p.scores(cid)).collect();
-            p.compact().expect("worker-side compaction verifies");
-            for (&cid, b) in cids.iter().zip(&before) {
-                prop_assert!(p.scores(cid).bits_eq(b));
-            }
-        }
+        check_remote_sessions(&events, remote)?;
     }
-}
-
-/// Recovery policy for fault tests: tight checkpoints, no backoff
-/// sleeps, a deadline short enough that stalled workers fail fast.
-fn fast_recovery(timeout_ms: u64) -> RecoveryConfig {
-    RecoveryConfig {
-        checkpoint_every: 2,
-        retry_budget: 3,
-        backoff_ms: 0,
-        request_timeout_ms: timeout_ms,
-    }
-}
-
-/// An unsharded fault-free twin fed the same history, for bit-identity
-/// assertions.
-fn twin_with(deltas: &[RowDelta]) -> (StreamSession, usize) {
-    let mut single = StreamSession::new(schema3());
-    let cid = single.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-    for d in deltas {
-        single.apply(d).unwrap();
-    }
-    (single, cid)
 }
 
 #[test]
 fn killed_worker_mid_delta_is_respawned_and_replayed() {
     let key = AttrSet::single(AttrId(0));
     let mut s = ShardedSession::spawn(schema3(), key, 2, &worker()).expect("workers spawn");
-    assert!(s.recovery_enabled(), "process shards support recovery");
+    assert!(s.recovery_enabled(), "worker shards support recovery");
     let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
     let seed = RowDelta::insert_only(fixture_rows());
     s.apply(&seed).unwrap();
@@ -224,7 +71,7 @@ fn killed_worker_mid_delta_is_respawned_and_replayed() {
     };
     s.apply(&follow_up).unwrap();
 
-    // The worker was respawned, its checkpoint restored and the
+    // The worker was relaunched, its checkpoint restored and the
     // in-flight delta retried: reads are bit-identical to a fault-free
     // unsharded session over the same history.
     let (single, scid) = twin_with(&[seed, follow_up]);
@@ -258,71 +105,43 @@ fn killed_worker_mid_delta_is_respawned_and_replayed() {
 }
 
 #[test]
-fn every_fault_kind_recovers_bit_identically_in_real_workers() {
-    // One real 2-worker session per fault kind; shard 1's worker carries
-    // the injected fault via the environment hook (stripped on respawn).
-    // Site 4 lands mid-stream: init(1), subscribe(2), then applies.
-    let faults = [
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Kill,
-        },
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Truncate,
-        },
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Garbage,
-        },
-        WorkerFault {
-            site: 4,
-            kind: WorkerFaultKind::Stall { millis: 5_000 },
-        },
-    ];
-    for fault in faults {
-        // A stalled worker must fail via the deadline, not hang the test.
-        let timeout_ms = match fault.kind {
-            WorkerFaultKind::Stall { .. } => 300,
-            _ => 10_000,
-        };
-        let schema = schema3();
-        let backends = vec![
-            ProcessShard::spawn(&worker(), &schema).expect("worker 0 spawns"),
-            ProcessShard::spawn(
-                &worker().with_env(AFD_WORKER_FAULTS_ENV, fault.to_env()),
-                &schema,
-            )
-            .expect("worker 1 spawns"),
-        ];
-        let mut s = ShardedSession::with_backends(schema, AttrSet::single(AttrId(0)), backends)
-            .expect("valid topology")
-            .with_recovery(fast_recovery(timeout_ms))
+fn severed_worker_is_reconnected_and_replayed() {
+    // sever() drops the coordinator's connection mid-session; the
+    // worker survives. The supervisor redials, restores the checkpoint,
+    // replays, and reads stay bit-identical.
+    for topology in TOPOLOGIES {
+        let (s, _listeners) = session(topology, &[worker(), worker()]);
+        let mut s = s
+            .with_recovery(RecoveryConfig {
+                checkpoint_every: 2,
+                backoff_ms: 0,
+                ..RecoveryConfig::default()
+            })
             .expect("valid recovery config");
+        assert!(s.recovery_enabled(), "{topology:?} shards support recovery");
         let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-        let deltas = [
-            RowDelta::insert_only(fixture_rows()),
-            RowDelta {
-                inserts: vec![row(5, 5, 0), row(6, 6, 1)],
-                deletes: vec![2],
-            },
-            RowDelta {
-                inserts: vec![row(7, 7, 2)],
-                deletes: vec![8, 13],
-            },
-        ];
-        for d in &deltas {
-            s.apply(d).unwrap_or_else(|e| panic!("{fault:?}: {e}"));
-        }
-        let (single, scid) = twin_with(&deltas);
-        assert!(
-            s.scores(cid).bits_eq(&single.scores(scid)),
-            "{fault:?} diverged"
-        );
+        let seed = RowDelta::insert_only(fixture_rows());
+        s.apply(&seed).unwrap();
+
+        s.backend_mut(1).sever();
+        let follow_up = RowDelta {
+            inserts: vec![row(1, 1, 1), row(2, 2, 2)],
+            deletes: vec![3, 11],
+        };
+        s.apply(&follow_up).unwrap();
+
+        let (single, scid) = twin_with(&[seed, follow_up]);
+        assert!(s.scores(cid).bits_eq(&single.scores(scid)), "{topology:?}");
         let report = s.recovery_report();
-        assert!(report.total_respawns() >= 1, "{fault:?} never fired");
-        assert_eq!(report.shards[0].respawns, 0, "wrong shard blamed");
+        assert!(report.total_respawns() >= 1, "{topology:?}: {report:?}");
+        assert_eq!(report.shards[0].respawns, 0, "shard 0 never failed");
+        assert!(s.shutdown().clean());
     }
+}
+
+#[test]
+fn every_fault_kind_recovers_bit_identically_in_real_workers() {
+    check_every_fault_kind_recovers(Topology::Spawned);
 }
 
 #[test]
@@ -333,46 +152,42 @@ fn hung_worker_request_fails_at_the_deadline_not_never() {
         site: 2, // the first post-init request
         kind: WorkerFaultKind::Stall { millis: 60_000 },
     };
-    let mut shard = ProcessShard::spawn(
-        &worker().with_env(AFD_WORKER_FAULTS_ENV, stall.to_env()),
-        &schema3(),
-    )
-    .expect("worker spawns");
-    shard.configure(0, Duration::from_millis(200));
-    let start = Instant::now();
-    let err = shard
-        .subscribe(&Fd::linear(AttrId(0), AttrId(1)))
-        .unwrap_err();
-    assert!(
-        start.elapsed() < Duration::from_secs(30),
-        "deadline did not bound the request"
-    );
-    match err {
-        StreamError::Transport(te) => {
-            assert!(
-                matches!(te.kind, TransportErrorKind::Timeout { millis: 200 }),
-                "{te:?}"
-            );
-            assert_eq!(te.shard, Some(0));
+    for topology in TOPOLOGIES {
+        let (mut backends, _listeners) = shards(topology, &[faulty(stall)]);
+        let shard = &mut backends[0];
+        shard.configure(0, Duration::from_millis(200));
+        let start = Instant::now();
+        let err = shard
+            .subscribe(&Fd::linear(AttrId(0), AttrId(1)))
+            .unwrap_err();
+        assert!(
+            start.elapsed() < Duration::from_secs(30),
+            "deadline did not bound the request"
+        );
+        match err {
+            StreamError::Transport(te) => {
+                assert!(
+                    matches!(te.kind, TransportErrorKind::Timeout { millis: 200 }),
+                    "{topology:?}: {te:?}"
+                );
+                assert_eq!(te.shard, Some(0));
+            }
+            other => panic!("expected a transport timeout, got {other}"),
         }
-        other => panic!("expected a transport timeout, got {other}"),
     }
 }
 
 #[test]
 fn transport_errors_carry_the_worker_stderr_tail() {
     // The injected-fault worker announces itself on stderr right before
-    // misbehaving; the coordinator's ring buffer attaches that tail to
-    // the typed error.
+    // misbehaving; the spawned shard's ring buffer attaches that tail to
+    // the typed error. (A dialed listener's stderr belongs to whoever
+    // launched it, so only spawned shards carry a tail.)
     let garbage = WorkerFault {
         site: 2,
         kind: WorkerFaultKind::Garbage,
     };
-    let mut shard = ProcessShard::spawn(
-        &worker().with_env(AFD_WORKER_FAULTS_ENV, garbage.to_env()),
-        &schema3(),
-    )
-    .expect("worker spawns");
+    let mut shard = TcpShard::spawn(&faulty(garbage), &schema3()).expect("worker spawns");
     let err = shard
         .subscribe(&Fd::linear(AttrId(0), AttrId(1)))
         .unwrap_err();
@@ -387,20 +202,45 @@ fn transport_errors_carry_the_worker_stderr_tail() {
     }
 }
 
+/// A relay that forwards its first connection to `target` and drops
+/// every later one on accept: a dialed worker whose link never comes
+/// back. The relay thread lives as long as the test process.
+fn one_shot_relay(target: SocketAddr) -> SocketAddr {
+    let relay = TcpListener::bind("127.0.0.1:0").expect("relay binds");
+    let addr = relay.local_addr().expect("relay address");
+    std::thread::spawn(move || {
+        let mut incoming = relay.incoming().flatten();
+        let Some(client) = incoming.next() else {
+            return;
+        };
+        let upstream = TcpStream::connect(target).expect("relay dials the worker");
+        let pipe = |mut from: TcpStream, mut to: TcpStream| {
+            std::thread::spawn(move || {
+                let _ = std::io::copy(&mut from, &mut to);
+                let _ = to.shutdown(Shutdown::Both);
+            })
+        };
+        pipe(client.try_clone().unwrap(), upstream.try_clone().unwrap());
+        pipe(upstream, client);
+        incoming.for_each(drop);
+    });
+    addr
+}
+
 #[test]
 fn sticky_process_fault_exhausts_retries_then_poisons() {
-    // A worker binary that dies at the same site every incarnation would
-    // re-read the fault env — the supervisor strips it on respawn, so
-    // this needs the kill to recur another way: kill the *respawned*
-    // worker too, via a budget-1 policy and a second manual kill.
+    // Spawned: the supervisor strips the fault env on relaunch, so the
+    // fault must recur another way — kill the *relaunched* worker too,
+    // via a budget-1 policy and a second manual kill.
     let key = AttrSet::single(AttrId(0));
-    let mut s = ShardedSession::spawn(schema3(), key, 2, &worker())
+    let budget_one = RecoveryConfig {
+        retry_budget: 1,
+        backoff_ms: 0,
+        ..RecoveryConfig::default()
+    };
+    let mut s = ShardedSession::spawn(schema3(), key.clone(), 2, &worker())
         .expect("workers spawn")
-        .with_recovery(RecoveryConfig {
-            retry_budget: 1,
-            backoff_ms: 0,
-            ..RecoveryConfig::default()
-        })
+        .with_recovery(budget_one.clone())
         .expect("valid recovery config");
     let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
     s.apply(&RowDelta::insert_only(fixture_rows())).unwrap();
@@ -411,143 +251,129 @@ fn sticky_process_fault_exhausts_retries_then_poisons() {
     assert_eq!(s.recovery_report().shards[1].respawns, 1);
     let last_good = s.scores(cid);
 
-    // Exhaust the budget: kill again and make the respawned worker's
-    // first serve fail too by pointing respawns at a broken program.
+    // Exhaust the budget: kill again and make the relaunch fail too by
+    // pointing it at a broken program.
     s.backend_mut(1).kill();
     s.backend_mut(1)
         .set_command(WorkerCommand::new("/nonexistent-afd-worker"));
+    assert_next_apply_poisons(&mut s, cid, &last_good);
+
+    // Dialed: worker 1 sits behind a relay that refuses every redial,
+    // so losing its connection is a fault no retry can heal.
+    let (_l0, direct) = listen(&worker());
+    let (l1, _) = listen(&worker());
+    let relayed = one_shot_relay(l1.addr()).to_string();
+    let backends = [direct, relayed]
+        .iter()
+        .map(|a| TcpShard::connect(a, &schema3()).expect("dial worker"))
+        .collect();
+    let mut s = ShardedSession::with_backends(schema3(), key, backends)
+        .expect("valid topology")
+        .with_recovery(budget_one)
+        .expect("valid recovery config");
+    let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+    s.apply(&RowDelta::insert_only(fixture_rows())).unwrap();
+    let last_good = s.scores(cid);
+    s.backend_mut(1).sever();
+    assert_next_apply_poisons(&mut s, cid, &last_good);
+}
+
+/// The next apply fails typed and poisons the session: reads serve the
+/// last consistent state, further mutation is refused.
+fn assert_next_apply_poisons(s: &mut ShardedSession<TcpShard>, cid: usize, last: &StreamScores) {
     let err = s.apply(&RowDelta::insert_only([row(2, 2, 2)])).unwrap_err();
     assert!(matches!(err, StreamError::Transport(_)), "{err}");
-
-    // Poisoned: reads serve the last consistent state, mutation refused.
-    assert!(s.scores(cid).bits_eq(&last_good));
-    assert!(matches!(
-        s.apply(&RowDelta::delete_only([0])),
-        Err(StreamError::Poisoned(_))
-    ));
+    assert!(s.scores(cid).bits_eq(last));
+    let refused = s.apply(&RowDelta::delete_only([0]));
+    assert!(
+        matches!(refused, Err(StreamError::Poisoned(_))),
+        "{refused:?}"
+    );
 }
 
 #[test]
 fn shutdown_reports_stragglers_for_dead_workers() {
-    let key = AttrSet::single(AttrId(0));
-    let mut s = ShardedSession::spawn(schema3(), key, 2, &worker()).expect("workers spawn");
-    s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
-    s.apply(&RowDelta::insert_only(fixture_rows())).unwrap();
-    // Worker 1 is already dead at shutdown time: it cannot acknowledge.
-    s.backend_mut(1).kill();
-    let report = s.shutdown();
-    assert_eq!(report.shards, 2);
-    assert_eq!(report.stragglers, vec![1]);
-    assert!(!report.clean());
+    for topology in TOPOLOGIES {
+        let (mut s, mut listeners) = session(topology, &[worker(), worker()]);
+        s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        s.apply(&RowDelta::insert_only(fixture_rows())).unwrap();
+        // Worker 1 is already dead at shutdown time: it cannot
+        // acknowledge.
+        match topology {
+            Topology::Spawned => s.backend_mut(1).kill(),
+            Topology::Dialed => listeners[1].kill(),
+        }
+        let report = s.shutdown();
+        assert_eq!(report.shards, 2);
+        assert_eq!(report.stragglers, vec![1], "{topology:?}");
+        assert!(!report.clean());
+    }
 }
 
 #[test]
 fn engine_process_backend_recovers_and_reports() {
-    // Engine-level: every spawned worker carries a kill fault (the env
-    // hook applies to the shared WorkerCommand), the engine's supervisor
-    // heals each one as it fires, and the report counts the respawns.
-    let base = afd_relation::Relation::from_pairs(
-        (0..64).map(|i| (i % 8, if i == 5 { 99 } else { (i % 8) * 3 })),
-    );
+    // Engine-level: every worker carries a kill fault (the env hook
+    // applies to the shared command), the engine's supervisor heals each
+    // one as it fires, and the report counts the respawns.
     let fd = Fd::linear(AttrId(0), AttrId(1));
     let kill = WorkerFault {
         site: 4,
         kind: WorkerFaultKind::Kill,
     };
-    let mut faulty = AfdEngine::from_relation(base.clone())
-        .with_config(EngineConfig {
-            shards: 2,
-            shard_key: Some(AttrSet::single(AttrId(0))),
-            backend: StreamBackend::Process(
-                worker().with_env(AFD_WORKER_FAULTS_ENV, kill.to_env()),
-            ),
-            recovery: RecoveryConfig {
+    for topology in TOPOLOGIES {
+        let (backend, _listeners) = engine_backend(topology, &faulty(kill));
+        let mut healed = engine_with(
+            backend,
+            RecoveryConfig {
                 checkpoint_every: 2,
                 backoff_ms: 0,
                 ..RecoveryConfig::default()
             },
-            ..EngineConfig::default()
-        })
-        .unwrap();
-    let mut clean = AfdEngine::from_relation(base)
-        .with_config(EngineConfig {
-            shards: 2,
-            shard_key: Some(AttrSet::single(AttrId(0))),
-            ..EngineConfig::default()
-        })
-        .unwrap();
-    let cf = faulty
-        .subscribe(&SubscribeRequest::new(fd.clone()))
-        .unwrap();
-    let cc = clean.subscribe(&SubscribeRequest::new(fd)).unwrap();
-    for step in 0..4 {
-        let delta = RowDelta {
-            inserts: vec![vec![Value::Int(step), Value::Int(step * 3)]],
-            deletes: vec![step as RowId],
-        };
-        faulty.delta(&DeltaRequest::new(delta.clone())).unwrap();
-        clean.delta(&DeltaRequest::new(delta)).unwrap();
+        );
+        let mut clean = engine_with(StreamBackend::InProcess, RecoveryConfig::default());
+        let cf = healed
+            .subscribe(&SubscribeRequest::new(fd.clone()))
+            .unwrap();
+        let cc = clean.subscribe(&SubscribeRequest::new(fd.clone())).unwrap();
+        for step in 0..4 {
+            let delta = RowDelta {
+                inserts: vec![vec![Value::Int(step), Value::Int(step * 3)]],
+                deletes: vec![step as RowId],
+            };
+            healed.delta(&DeltaRequest::new(delta.clone())).unwrap();
+            clean.delta(&DeltaRequest::new(delta)).unwrap();
+        }
+        assert!(healed
+            .scores(cf.candidate)
+            .unwrap()
+            .bits_eq(&clean.scores(cc.candidate).unwrap()));
+        let report = healed.recovery_report();
+        assert!(report.total_respawns() >= 1, "{topology:?}: {report:?}");
+        assert!(healed.shutdown().clean());
     }
-    assert!(faulty
-        .scores(cf.candidate)
-        .unwrap()
-        .bits_eq(&clean.scores(cc.candidate).unwrap()));
-    let report = faulty.recovery_report();
-    assert!(report.total_respawns() >= 1, "{report:?}");
-    assert!(faulty.shutdown().clean());
 }
 
 #[test]
 fn engine_process_backend_matches_in_process_and_survives_save_restore() {
-    let base = afd_relation::Relation::from_pairs(
-        (0..64).map(|i| (i % 8, if i == 5 { 99 } else { (i % 8) * 3 })),
-    );
-    let fd = Fd::linear(AttrId(0), AttrId(1));
-    let mk = |backend: StreamBackend| {
-        AfdEngine::from_relation(base.clone())
-            .with_config(EngineConfig {
-                shards: 2,
-                shard_key: Some(AttrSet::single(AttrId(0))),
-                backend,
-                ..EngineConfig::default()
-            })
-            .unwrap()
-    };
-    let mut inproc = mk(StreamBackend::InProcess);
-    let mut proc = mk(StreamBackend::Process(worker()));
-    let ci = inproc
-        .subscribe(&SubscribeRequest::new(fd.clone()))
-        .unwrap();
-    let cp = proc.subscribe(&SubscribeRequest::new(fd.clone())).unwrap();
-    let delta = RowDelta {
-        inserts: vec![
-            vec![Value::Int(3), Value::Int(9)],
-            vec![Value::Int(1), Value::Int(3)],
-        ],
-        deletes: vec![5, 17, 40],
-    };
-    inproc.delta(&DeltaRequest::new(delta.clone())).unwrap();
-    proc.delta(&DeltaRequest::new(delta)).unwrap();
-    let (a, b) = (
-        inproc.scores(ci.candidate).unwrap(),
-        proc.scores(cp.candidate).unwrap(),
-    );
-    assert!(a.bits_eq(&b));
+    check_engine_twin_and_save_restore(Topology::Spawned);
+}
 
-    // Save from the process topology, restore into the in-process one:
-    // the wire snapshot is topology-neutral and bit-exact.
-    let snap = proc.save(&SnapshotRequest::default()).unwrap();
-    assert_eq!(snap.n_live, 63);
-    let restored = AfdEngine::restore(&RestoreRequest::new(snap.bytes.clone())).unwrap();
-    assert!(restored.scores(0).unwrap().bits_eq(&b));
-    // And back into process workers.
-    let restored = AfdEngine::restore_with_backend(
-        &RestoreRequest::new(snap.bytes),
-        StreamBackend::Process(worker()),
-    )
-    .unwrap();
-    assert_eq!(restored.n_shards(), 2);
-    assert!(restored.scores(0).unwrap().bits_eq(&b));
+#[test]
+fn one_listener_serves_sequential_sessions() {
+    // Connection = incarnation: after one session shuts down cleanly,
+    // the same listener process serves a fresh one from scratch.
+    let (_listener, addr) = listen(&worker());
+    for round in 0..2 {
+        let backends = vec![TcpShard::connect(&addr, &schema3()).expect("dial worker")];
+        let mut s = ShardedSession::with_backends(schema3(), AttrSet::single(AttrId(0)), backends)
+            .expect("valid topology");
+        let cid = s.subscribe(Fd::linear(AttrId(0), AttrId(1))).unwrap();
+        let delta = RowDelta::insert_only([row(round, round, 0), row(round, 9, 1)]);
+        s.apply(&delta).unwrap();
+        let (single, scid) = twin_with(&[delta]);
+        assert!(s.scores(cid).bits_eq(&single.scores(scid)));
+        assert!(s.shutdown().clean());
+    }
 }
 
 #[test]
@@ -601,23 +427,39 @@ fn save_and_load_subcommands_round_trip() {
 
 #[test]
 fn shard_worker_rejects_garbage_input() {
-    // Random bytes on stdin: the worker exits nonzero with a decode
-    // error on stderr instead of hanging or panicking.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_afd"))
+    // Garbage bytes on one connection end that session with a typed
+    // decode error on the worker's stderr — no hang, no panic — and the
+    // same listener then serves a clean session.
+    let mut transport = TcpTransport::spawn(&worker()).expect("worker spawns");
+    let mut raw = TcpStream::connect(transport.addr()).expect("dial worker");
+    raw.write_all(b"definitely not an AFDW frame").unwrap();
+    let tail = transport.diagnostics(true);
+    assert!(
+        tail.iter()
+            .any(|l| l.starts_with("afd-worker: connection ended: frame decode")),
+        "{tail:?}"
+    );
+    drop(raw);
+
+    let mut shard = RemoteShard::from_transport(transport, &schema3()).expect("clean Init");
+    let cid = shard.subscribe(&Fd::linear(AttrId(0), AttrId(1))).unwrap();
+    let delta = RowDelta::insert_only(fixture_rows());
+    shard.apply(&delta).unwrap();
+    let (single, scid) = twin_with(&[delta]);
+    assert_eq!(shard.table(cid), single.table(scid));
+    assert_eq!(shard.n_live(), fixture_rows().len());
+}
+
+#[test]
+fn shard_worker_without_listen_prints_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_afd"))
         .arg("shard-worker")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("worker spawns");
-    use std::io::Write as _;
-    child
-        .stdin
-        .take()
-        .unwrap()
-        .write_all(b"definitely not an AFDW frame")
-        .unwrap();
-    let out = child.wait_with_output().expect("worker exits");
+        .output()
+        .expect("afd runs");
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("shard-worker"));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("usage: afd shard-worker --listen ADDR"),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }

@@ -9,9 +9,8 @@ use afd_relation::{
     linear_candidates, read_csv_typed, violated_candidates, AttrSet, CsvKind, Fd, Relation, Schema,
 };
 use afd_stream::{
-    AnyShard, CompactionReport, InProcShard, ProcessShard, RecoveryConfig, RecoveryReport,
-    SessionSnapshot, ShardedSession, ShutdownReport, SnapshotStats, StreamScores, TcpShard,
-    WorkerCommand,
+    CompactionReport, InProcShard, RecoveryConfig, RecoveryReport, SessionSnapshot, ShardBackend,
+    ShardedSession, ShutdownReport, SnapshotStats, StreamScores, TcpShard, WorkerCommand,
 };
 
 use crate::error::AfdError;
@@ -29,9 +28,10 @@ pub enum StreamBackend {
     /// default — zero transport overhead).
     #[default]
     InProcess,
-    /// Each shard is an `afd shard-worker` child process driven over
-    /// the checksummed `afd-wire` stdin/stdout protocol — crash-isolated
-    /// workers, bit-identical score reads.
+    /// Each shard is a local `afd shard-worker --listen 127.0.0.1:0`
+    /// child the engine launches from this command and drives over the
+    /// checksummed `afd-wire` protocol on loopback TCP — crash-isolated
+    /// workers, relaunched if killed, bit-identical score reads.
     Process(WorkerCommand),
     /// Each shard is an `afd shard-worker --listen` session dialed over
     /// TCP, one address per shard (so `shards` must equal the address
@@ -61,8 +61,8 @@ pub struct EngineConfig {
     /// Auto-compact (with per-shard batch-kernel verification) every this
     /// many applied deltas.
     pub compact_every: Option<u64>,
-    /// Shard topology: in-process sessions or `afd shard-worker` child
-    /// processes.
+    /// Shard topology: in-process sessions, spawned `afd shard-worker`
+    /// children, or dialed worker listeners.
     pub backend: StreamBackend,
     /// Supervised-recovery policy for the streaming session: checkpoint
     /// cadence, retry budget, backoff and the per-request deadline.
@@ -147,7 +147,7 @@ pub struct AfdEngine {
     /// lazily refreshed materialisation of the session's live rows.
     base: Relation,
     base_fresh: bool,
-    session: Option<ShardedSession<AnyShard>>,
+    session: Option<ShardedSession<Box<dyn ShardBackend>>>,
     cfg: EngineConfig,
 }
 
@@ -270,7 +270,7 @@ impl AfdEngine {
     /// columns — O(rows) code copies, no per-row `Value` round-trips).
     ///
     /// # Errors
-    /// [`AfdError::Stream`] when a process-backed shard's snapshot
+    /// [`AfdError::Stream`] when a worker-backed shard's snapshot
     /// transport fails.
     pub fn snapshot(&mut self) -> Result<&Relation, AfdError> {
         if !self.base_fresh {
@@ -402,16 +402,17 @@ impl AfdEngine {
         };
         let threads = self.threads()?;
         let schema = self.base.schema().clone();
-        let backends: Vec<AnyShard> = match &self.cfg.backend {
+        let boxed = |shard: TcpShard| Box::new(shard) as Box<dyn ShardBackend>;
+        let backends: Vec<Box<dyn ShardBackend>> = match &self.cfg.backend {
             StreamBackend::InProcess => (0..shards)
-                .map(|_| AnyShard::InProc(InProcShard::new(schema.clone())))
+                .map(|_| Box::new(InProcShard::new(schema.clone())) as Box<dyn ShardBackend>)
                 .collect(),
             StreamBackend::Process(worker) => (0..shards)
-                .map(|_| ProcessShard::spawn(worker, &schema).map(AnyShard::Process))
+                .map(|_| TcpShard::spawn(worker, &schema).map(boxed))
                 .collect::<Result<_, _>>()?,
             StreamBackend::Tcp(addrs) => addrs
                 .iter()
-                .map(|addr| TcpShard::connect(addr, &schema).map(AnyShard::Tcp))
+                .map(|addr| TcpShard::connect(addr, &schema).map(boxed))
                 .collect::<Result<_, _>>()?,
         };
         let mut session = ShardedSession::with_backends(schema, key, backends)?
@@ -433,7 +434,7 @@ impl AfdEngine {
     /// compaction).
     ///
     /// # Errors
-    /// [`AfdError::Stream`] when a process-backed shard's snapshot
+    /// [`AfdError::Stream`] when a worker-backed shard's snapshot
     /// transport fails.
     pub fn save(&mut self, _req: &SnapshotRequest) -> Result<SnapshotResponse, AfdError> {
         let subscriptions: Vec<Fd> = match &self.session {
@@ -472,7 +473,7 @@ impl AfdEngine {
     /// cost, so eviction accounting can run per-measurement.
     ///
     /// # Errors
-    /// [`AfdError::Stream`] when a process-backed shard's snapshot
+    /// [`AfdError::Stream`] when a worker-backed shard's snapshot
     /// transport fails.
     pub fn snapshot_stats(&mut self) -> Result<SnapshotStats, AfdError> {
         let subscriptions: Vec<Fd> = match &self.session {
@@ -637,7 +638,7 @@ impl AfdEngine {
 
     /// Ends the engine gracefully: every shard worker is asked to exit
     /// and the report names the stragglers that did not acknowledge
-    /// within the request deadline (their processes are still killed on
+    /// within the request deadline (spawned workers are still killed on
     /// drop). A trivial clean report when streaming never started.
     pub fn shutdown(mut self) -> ShutdownReport {
         match self.session.take() {

@@ -41,16 +41,6 @@ impl Client {
         self.transport.addr()
     }
 
-    /// The per-request deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
-    /// Replaces the per-request deadline.
-    pub fn set_deadline(&mut self, deadline: Duration) {
-        self.deadline = deadline;
-    }
-
     /// Sends one framed request and waits for the single answer frame.
     ///
     /// # Errors
@@ -62,11 +52,6 @@ impl Client {
             .map_err(|e| NetError::Decode(format!("request frame: {e}")))?;
         self.transport.send(&frame)?;
         self.transport.recv(self.deadline)
-    }
-
-    /// Closes the connection gracefully.
-    pub fn close(mut self) {
-        let _ = self.transport.finish(Duration::from_millis(100));
     }
 }
 
@@ -92,7 +77,7 @@ mod tests {
         let mut client = Client::connect(&addr.to_string(), Duration::from_secs(5)).unwrap();
         let (kind, payload) = client.request(42, b"ping").unwrap();
         assert_eq!((kind, payload.as_slice()), (42, b"ping".as_slice()));
-        client.close();
+        drop(client);
         server.join().unwrap();
     }
 }

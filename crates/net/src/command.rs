@@ -1,36 +1,25 @@
-//! How to launch a framed child process — the spawn recipe
-//! [`crate::StdioTransport`] keeps so it can relaunch (reconnect) a dead
-//! incarnation.
+//! How to launch a local shard worker — the recipe a
+//! [`crate::WorkerProcess`] keeps so it can relaunch a dead incarnation.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// How to launch a shard-worker process: the program, its leading
-/// arguments (defaults to the `afd` CLI's `shard-worker` subcommand),
-/// and extra environment variables (afd-stream's fault-injection
-/// harness rides in on `AFD_WORKER_FAULTS`).
+/// How to launch a shard-worker process: the program (run as
+/// `<program> shard-worker --listen 127.0.0.1:0`) and extra environment
+/// variables (afd-stream's fault-injection harness rides in on
+/// `AFD_WORKER_FAULTS`).
 #[derive(Debug, Clone)]
 pub struct WorkerCommand {
-    program: PathBuf,
-    args: Vec<String>,
-    envs: Vec<(String, String)>,
+    pub(crate) program: PathBuf,
+    pub(crate) envs: Vec<(String, String)>,
 }
 
 impl WorkerCommand {
-    /// A worker launched as `<program> shard-worker`.
+    /// A worker launched as `<program> shard-worker --listen 127.0.0.1:0`.
     pub fn new(program: impl Into<PathBuf>) -> Self {
         WorkerCommand {
             program: program.into(),
-            args: vec!["shard-worker".into()],
             envs: Vec::new(),
         }
-    }
-
-    /// Replaces the argument list (for wrappers that are not the `afd`
-    /// binary).
-    #[must_use]
-    pub fn with_args(mut self, args: impl IntoIterator<Item = String>) -> Self {
-        self.args = args.into_iter().collect();
-        self
     }
 
     /// Adds an environment variable for the worker process (replacing
@@ -48,21 +37,6 @@ impl WorkerCommand {
     /// most once per plan, not once per incarnation.
     pub fn remove_env(&mut self, key: &str) {
         self.envs.retain(|(k, _)| k != key);
-    }
-
-    /// The worker program.
-    pub fn program(&self) -> &Path {
-        &self.program
-    }
-
-    /// The worker's arguments.
-    pub fn args(&self) -> &[String] {
-        &self.args
-    }
-
-    /// The worker's extra environment bindings.
-    pub fn envs(&self) -> &[(String, String)] {
-        &self.envs
     }
 
     /// Locates a binary named `name` next to (or a couple of directories
@@ -101,15 +75,15 @@ mod tests {
             .with_env("A", "2")
             .with_env("B", "3");
         assert_eq!(
-            cmd.envs(),
-            &[
+            cmd.envs,
+            [
                 ("A".to_string(), "2".to_string()),
                 ("B".to_string(), "3".to_string())
             ]
         );
         cmd.remove_env("A");
-        assert_eq!(cmd.envs(), &[("B".to_string(), "3".to_string())]);
+        assert_eq!(cmd.envs, [("B".to_string(), "3".to_string())]);
         cmd.remove_env("not-there");
-        assert_eq!(cmd.envs().len(), 1);
+        assert_eq!(cmd.envs.len(), 1);
     }
 }

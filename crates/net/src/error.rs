@@ -30,15 +30,6 @@ pub enum NetError {
     Decode(String),
 }
 
-impl NetError {
-    /// True when the error means the peer is likely gone (dead process,
-    /// closed socket) rather than slow or misbehaving — the cases a
-    /// reconnect/respawn can hope to fix immediately.
-    pub fn peer_gone(&self) -> bool {
-        matches!(self, NetError::Read(_) | NetError::Write(_))
-    }
-}
-
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -69,14 +60,5 @@ mod tests {
         assert!(NetError::Timeout { millis: 250 }
             .to_string()
             .contains("250 ms"));
-    }
-
-    #[test]
-    fn peer_gone_covers_read_and_write_only() {
-        assert!(NetError::Read("eof".into()).peer_gone());
-        assert!(NetError::Write("pipe".into()).peer_gone());
-        assert!(!NetError::Timeout { millis: 1 }.peer_gone());
-        assert!(!NetError::Connect("refused".into()).peer_gone());
-        assert!(!NetError::Decode("bad".into()).peer_gone());
     }
 }

@@ -1,4 +1,4 @@
-//! The [`Transport`] trait and its two implementations.
+//! The [`Transport`] trait and its TCP implementation.
 //!
 //! A transport is a bidirectional channel that carries whole afd-wire
 //! frames: `send` writes one already-framed message, `recv` hands back
@@ -8,32 +8,47 @@
 //! stuck in `read(2)` forever — the property afd-stream's supervisor
 //! deadlines are built on.
 //!
-//! * [`StdioTransport`] — a child process's stdin/stdout (the original
-//!   `afd shard-worker` topology). `reconnect` relaunches the child
-//!   from its retained [`WorkerCommand`]; the child's stderr is
-//!   ring-buffered and surfaced through [`Transport::diagnostics`].
-//! * [`TcpTransport`] — a TCP connection to a listener that may live on
-//!   another machine. `reconnect` redials the same address with
-//!   exponential backoff ([`ReconnectPolicy`]); a worker listener that
-//!   survived the connection loss accepts the new connection and the
-//!   supervisor's restore/replay brings the fresh session back.
+//! [`TcpTransport`] is the one implementation. It either dials a
+//! listener that may live on another machine ([`TcpTransport::connect`])
+//! or launches a local `afd shard-worker --listen 127.0.0.1:0` child and
+//! dials the address it announces ([`TcpTransport::spawn`], backed by a
+//! [`WorkerProcess`]). `reconnect` relaunches that child if it has
+//! exited, then redials with exponential backoff; a listener that
+//! survived the connection loss accepts the new connection and the
+//! supervisor's restore/replay brings the fresh session back.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::process::{Child, ChildStderr, Command, Stdio};
+use std::process::{Child, ChildStderr, ChildStdout, Command, Stdio};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use afd_wire::{read_frame_from, FrameReadError, StreamFrame};
 
 use crate::command::WorkerCommand;
 use crate::error::NetError;
 
-/// How many trailing child stderr lines [`StdioTransport`] retains.
+/// How many trailing child stderr lines a [`WorkerProcess`] retains.
 const STDERR_TAIL_LINES: usize = 12;
+
+/// How long a launched worker may take to print `listening on ADDR`.
+const ANNOUNCE_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long [`Transport::diagnostics`] waits, when the peer likely
+/// died, for the worker's stderr to catch up with the failure.
+const DIAGNOSTICS_WAIT: Duration = Duration::from_millis(250);
+
+/// Redial schedule for [`TcpTransport::reconnect`]: this many attempts,
+/// sleeping [`INITIAL_BACKOFF`] before the second and doubling up to
+/// [`MAX_BACKOFF`] (~0.8 s in all). It rides *inside* afd-stream's
+/// per-respawn retry budget, so one supervisor retry absorbs a worker
+/// listener that needs a moment to come back.
+const RECONNECT_ATTEMPTS: u32 = 8;
+const INITIAL_BACKOFF: Duration = Duration::from_millis(10);
+const MAX_BACKOFF: Duration = Duration::from_millis(250);
 
 /// A bidirectional framed channel to one peer.
 ///
@@ -56,9 +71,9 @@ pub trait Transport: Send + std::fmt::Debug {
     fn recv(&mut self, deadline: Duration) -> Result<(u8, Vec<u8>), NetError>;
 
     /// Tears the channel down and establishes a fresh one to the same
-    /// peer recipe (relaunch the child; redial the address with
-    /// backoff). The caller owns re-running any protocol handshake and
-    /// restoring peer state afterwards.
+    /// peer recipe (relaunch an exited child; redial with backoff). The
+    /// caller owns re-running any protocol handshake and restoring peer
+    /// state afterwards.
     ///
     /// # Errors
     /// [`NetError::Spawn`]/[`NetError::Connect`] when no fresh channel
@@ -71,18 +86,17 @@ pub trait Transport: Send + std::fmt::Debug {
         false
     }
 
-    /// Out-of-band diagnostics for error attribution (the child's
-    /// stderr tail for stdio transports). `likely_dead` lets the
-    /// implementation briefly wait for the peer's exit first so panic
-    /// messages that raced the failure are included deterministically.
+    /// Out-of-band diagnostics for error attribution (a spawned
+    /// worker's stderr tail). `likely_dead` lets the implementation
+    /// briefly wait for the peer's last words first, so a message that
+    /// raced the failure is included deterministically.
     fn diagnostics(&mut self, likely_dead: bool) -> Vec<String> {
         let _ = likely_dead;
         Vec::new()
     }
 
-    /// Closes the channel gracefully after the protocol said goodbye:
-    /// close the write side and (for child processes) await the exit
-    /// within `deadline`.
+    /// Closes the channel gracefully after the protocol said goodbye
+    /// (and stops a worker process the transport launched itself).
     ///
     /// # Errors
     /// [`NetError::Timeout`] when the peer did not wind down in time.
@@ -106,9 +120,9 @@ struct FrameRx {
 }
 
 impl FrameRx {
-    fn spawn<R: Read + Send + 'static>(source: R, peer: &'static str) -> Self {
+    fn spawn<R: Read + Send + 'static>(source: R) -> Self {
         let (tx, rx) = mpsc::channel();
-        let reader = std::thread::spawn(move || reader_loop(source, peer, &tx));
+        let reader = std::thread::spawn(move || reader_loop(source, &tx));
         FrameRx {
             frames: rx,
             reader: Some(reader),
@@ -134,16 +148,16 @@ impl FrameRx {
     }
 }
 
-fn reader_loop<R: Read>(source: R, peer: &'static str, tx: &mpsc::Sender<FrameResult>) {
+fn reader_loop<R: Read>(source: R, tx: &mpsc::Sender<FrameResult>) {
     let mut source = BufReader::new(source);
     loop {
         let item = match read_frame_from(&mut source) {
             Ok(StreamFrame::Frame(kind, payload)) => Ok((kind, payload)),
-            Ok(StreamFrame::Eof) => Err(NetError::Read(format!(
-                "{peer} closed the channel (crashed, killed, or exited)"
-            ))),
-            Err(FrameReadError::Io(e)) => Err(NetError::Read(format!("read from {peer}: {e}"))),
-            Err(FrameReadError::Decode(e)) => Err(NetError::Decode(format!("{peer} frame: {e}"))),
+            Ok(StreamFrame::Eof) => Err(NetError::Read(
+                "peer closed the channel (crashed, killed, or exited)".into(),
+            )),
+            Err(FrameReadError::Io(e)) => Err(NetError::Read(format!("read from peer: {e}"))),
+            Err(FrameReadError::Decode(e)) => Err(NetError::Decode(format!("peer frame: {e}"))),
         };
         let done = item.is_err();
         if tx.send(item).is_err() || done {
@@ -152,243 +166,172 @@ fn reader_loop<R: Read>(source: R, peer: &'static str, tx: &mpsc::Sender<FrameRe
     }
 }
 
-// --------------------------------------------------------------- stdio
+// -------------------------------------------------------- local workers
 
-/// One live child incarnation: the process plus the threads shuttling
-/// its stdout frames and stderr lines back.
-///
-/// Owning I/O in a separate struct makes reconnect a `mem::replace`:
-/// the old incarnation's drop kills the child and joins both threads.
-#[derive(Debug)]
-struct StdioIo {
-    child: Child,
-    stdin: Option<std::process::ChildStdin>,
-    rx: FrameRx,
-    stderr_tail: Arc<Mutex<VecDeque<String>>>,
-    stderr_reader: Option<JoinHandle<()>>,
+/// The trailing stderr lines of a worker process, fed by a reader
+/// thread. `seen` counts every line ever read and `closed` marks the
+/// pipe's end, so [`Transport::diagnostics`] can wait for news.
+#[derive(Debug, Default)]
+struct StderrTail {
+    state: Mutex<TailState>,
+    changed: Condvar,
 }
 
-impl StdioIo {
-    fn launch(cmd: &WorkerCommand) -> Result<Self, NetError> {
-        let mut child = Command::new(cmd.program())
-            .args(cmd.args())
-            .envs(cmd.envs().iter().map(|(k, v)| (k.as_str(), v.as_str())))
-            .stdin(Stdio::piped())
+#[derive(Debug, Default)]
+struct TailState {
+    lines: VecDeque<String>,
+    seen: u64,
+    closed: bool,
+}
+
+impl StderrTail {
+    fn collect(&self, stderr: ChildStderr) {
+        for line in BufReader::new(stderr).lines() {
+            let Ok(line) = line else { break };
+            let mut tail = self.state();
+            if tail.lines.len() == STDERR_TAIL_LINES {
+                tail.lines.pop_front();
+            }
+            tail.lines.push_back(line);
+            tail.seen += 1;
+            self.changed.notify_all();
+        }
+        self.state().closed = true;
+        self.changed.notify_all();
+    }
+
+    fn state(&self) -> MutexGuard<'_, TailState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The retained lines; with `after = Some(mark)`, first waits up to
+    /// [`DIAGNOSTICS_WAIT`] until a line beyond `mark` arrives or the
+    /// pipe closes (the worker exited).
+    fn lines(&self, after: Option<u64>) -> Vec<String> {
+        let mut tail = self.state();
+        if let Some(mark) = after {
+            tail = self
+                .changed
+                .wait_timeout_while(tail, DIAGNOSTICS_WAIT, |t| !t.closed && t.seen <= mark)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+        tail.lines.iter().cloned().collect()
+    }
+}
+
+/// A local `afd shard-worker --listen 127.0.0.1:0` child: launched from
+/// a [`WorkerCommand`], its announced address read back under a
+/// deadline, its stderr ring-buffered. Dropping it kills the child.
+///
+/// [`TcpTransport::spawn`] owns one and relaunches it when it exits;
+/// tests and benches own one directly to get a listener to dial.
+#[derive(Debug)]
+pub struct WorkerProcess {
+    cmd: WorkerCommand,
+    child: Child,
+    addr: SocketAddr,
+    stderr: Arc<StderrTail>,
+}
+
+impl WorkerProcess {
+    /// Launches the worker and waits for its `listening on ADDR` line.
+    ///
+    /// # Errors
+    /// [`NetError::Spawn`] when the program cannot be started, or exits,
+    /// prints anything else, or stays silent for 5 s (the child is then
+    /// killed).
+    pub fn launch(cmd: &WorkerCommand) -> Result<Self, NetError> {
+        let program = cmd.program.display();
+        let mut child = Command::new(&cmd.program)
+            .args(["shard-worker", "--listen", "127.0.0.1:0"])
+            .envs(cmd.envs.iter().map(|(k, v)| (k, v)))
+            .stdin(Stdio::null())
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
-            .map_err(|e| NetError::Spawn(format!("spawn {}: {e}", cmd.program().display())))?;
-        let stdin = child.stdin.take().expect("stdin piped");
+            .map_err(|e| NetError::Spawn(format!("spawn {program}: {e}")))?;
         let stdout = child.stdout.take().expect("stdout piped");
         let stderr = child.stderr.take().expect("stderr piped");
-        let rx = FrameRx::spawn(stdout, "worker");
-        let tail = Arc::new(Mutex::new(VecDeque::new()));
-        let tail_writer = Arc::clone(&tail);
-        let stderr_reader = std::thread::spawn(move || stderr_loop(stderr, &tail_writer));
-        Ok(StdioIo {
-            child,
-            stdin: Some(stdin),
-            rx,
-            stderr_tail: tail,
-            stderr_reader: Some(stderr_reader),
-        })
-    }
-
-    /// The captured stderr tail. When the failure suggests the child
-    /// died (`wait_for_exit`), briefly poll for its exit and join the
-    /// stderr thread first, so panic messages that raced the error are
-    /// included deterministically.
-    fn stderr_snapshot(&mut self, wait_for_exit: bool) -> Vec<String> {
-        if wait_for_exit {
-            for _ in 0..25 {
-                match self.child.try_wait() {
-                    Ok(Some(_)) => {
-                        if let Some(h) = self.stderr_reader.take() {
-                            let _ = h.join();
-                        }
-                        break;
-                    }
-                    Ok(None) => std::thread::sleep(Duration::from_millis(10)),
-                    Err(_) => break,
-                }
+        let tail = Arc::new(StderrTail::default());
+        let feed = Arc::clone(&tail);
+        // Not joined: it ends when the pipe closes, which a child's own
+        // children could hold open past the child's death.
+        std::thread::spawn(move || feed.collect(stderr));
+        match read_announcement(stdout) {
+            Ok(addr) => Ok(WorkerProcess {
+                cmd: cmd.clone(),
+                child,
+                addr,
+                stderr: tail,
+            }),
+            Err(why) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                Err(NetError::Spawn(format!("worker {program} {why}")))
             }
         }
-        self.stderr_tail
-            .lock()
-            .map(|tail| tail.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for StdioIo {
-    fn drop(&mut self) {
-        drop(self.stdin.take());
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        self.rx.join();
-        if let Some(h) = self.stderr_reader.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-fn stderr_loop(stderr: ChildStderr, tail: &Arc<Mutex<VecDeque<String>>>) {
-    for line in BufReader::new(stderr).lines() {
-        let Ok(line) = line else { return };
-        if let Ok(mut tail) = tail.lock() {
-            if tail.len() == STDERR_TAIL_LINES {
-                tail.pop_front();
-            }
-            tail.push_back(line);
-        }
-    }
-}
-
-/// A framed channel over a child process's stdin/stdout.
-///
-/// The spawn recipe is retained, so [`Transport::reconnect`] kills the
-/// old incarnation and launches a fresh child from the same command —
-/// minus any environment keys registered via
-/// [`StdioTransport::strip_env_on_reconnect`] (afd-stream strips its
-/// fault-injection hook so an injected fault fires once per plan, not
-/// once per incarnation).
-#[derive(Debug)]
-pub struct StdioTransport {
-    cmd: WorkerCommand,
-    strip_on_reconnect: Vec<String>,
-    io: StdioIo,
-}
-
-impl StdioTransport {
-    /// Launches the child with piped stdin/stdout/stderr.
-    ///
-    /// # Errors
-    /// [`NetError::Spawn`] when the program cannot be started.
-    pub fn launch(cmd: &WorkerCommand) -> Result<Self, NetError> {
-        Ok(StdioTransport {
-            cmd: cmd.clone(),
-            strip_on_reconnect: Vec::new(),
-            io: StdioIo::launch(cmd)?,
-        })
     }
 
-    /// Registers an environment key to drop from the command before any
-    /// reconnect relaunch (the running child is untouched).
-    #[must_use]
-    pub fn strip_env_on_reconnect(mut self, key: impl Into<String>) -> Self {
-        self.strip_on_reconnect.push(key.into());
-        self
+    /// The address the worker listens on.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
-    /// The child's process id (fault-injection tests kill it by pid).
-    pub fn pid(&self) -> u32 {
-        self.io.child.id()
-    }
-
-    /// Kills the child outright — the fault every transport error path
+    /// Kills the worker outright — the fault every transport error path
     /// must survive.
     pub fn kill(&mut self) {
-        let _ = self.io.child.kill();
-        let _ = self.io.child.wait();
+        let _ = self.child.kill();
+        let _ = self.child.wait();
     }
 
-    /// Replaces the command future reconnects use. The running child is
-    /// untouched; fault tests point this at a broken program to make
-    /// every recovery attempt fail.
+    /// Replaces the recipe a relaunch uses; the running worker is
+    /// untouched.
     pub fn set_command(&mut self, cmd: WorkerCommand) {
         self.cmd = cmd;
     }
 
-    /// The retained spawn recipe.
-    pub fn command(&self) -> &WorkerCommand {
-        &self.cmd
+    /// Launches a fresh worker from the retained recipe unless the
+    /// current one is still running.
+    fn relaunch_if_exited(&mut self) -> Result<(), NetError> {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            return Ok(());
+        }
+        *self = WorkerProcess::launch(&self.cmd)?;
+        Ok(())
     }
 }
 
-impl Transport for StdioTransport {
-    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        match self.io.stdin.as_mut() {
-            None => Err(NetError::Write("worker stdin already closed".into())),
-            Some(stdin) => stdin
-                .write_all(frame)
-                .and_then(|()| stdin.flush())
-                .map_err(|e| NetError::Write(format!("write to worker: {e}"))),
-        }
+impl Drop for WorkerProcess {
+    fn drop(&mut self) {
+        self.kill();
     }
+}
 
-    fn recv(&mut self, deadline: Duration) -> Result<(u8, Vec<u8>), NetError> {
-        self.io.rx.recv(deadline)
+/// Reads a launched worker's first stdout line under
+/// [`ANNOUNCE_DEADLINE`] and parses its address. The reader thread is
+/// left to finish on its own: a silent child may never close the pipe.
+fn read_announcement(stdout: ChildStdout) -> Result<SocketAddr, String> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let mut line = String::new();
+        let _ = BufReader::new(stdout.take(512)).read_line(&mut line);
+        let _ = tx.send(line);
+    });
+    let line = rx.recv_timeout(ANNOUNCE_DEADLINE).map_err(|_| {
+        let millis = ANNOUNCE_DEADLINE.as_millis();
+        format!("did not announce its address within {millis} ms")
+    })?;
+    if line.is_empty() {
+        return Err("exited before announcing its address".into());
     }
-
-    fn reconnect(&mut self) -> Result<(), NetError> {
-        for key in &self.strip_on_reconnect {
-            self.cmd.remove_env(key);
-        }
-        let io = StdioIo::launch(&self.cmd)?;
-        // The old incarnation's drop kills its child and joins threads.
-        let _old = std::mem::replace(&mut self.io, io);
-        drop(_old);
-        Ok(())
-    }
-
-    fn supports_reconnect(&self) -> bool {
-        true
-    }
-
-    fn diagnostics(&mut self, likely_dead: bool) -> Vec<String> {
-        self.io.stderr_snapshot(likely_dead)
-    }
-
-    fn finish(&mut self, deadline: Duration) -> Result<(), NetError> {
-        drop(self.io.stdin.take());
-        let start = Instant::now();
-        loop {
-            match self.io.child.try_wait() {
-                Ok(Some(_)) => return Ok(()),
-                Ok(None) if start.elapsed() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Ok(None) => {
-                    return Err(NetError::Timeout {
-                        millis: deadline.as_millis() as u64,
-                    })
-                }
-                Err(e) => return Err(NetError::Read(format!("wait for worker exit: {e}"))),
-            }
-        }
-    }
-
-    fn peer(&self) -> String {
-        self.cmd.program().display().to_string()
-    }
+    line.trim()
+        .strip_prefix("listening on ")
+        .and_then(|addr| addr.parse().ok())
+        .ok_or_else(|| format!("announced {:?}, not `listening on ADDR`", line.trim()))
 }
 
 // ----------------------------------------------------------------- tcp
-
-/// Redial schedule for [`TcpTransport::reconnect`]: exponentially
-/// backed-off attempts against the same address. The defaults
-/// (8 attempts, 10 ms doubling to a 250 ms cap, ~1.3 s total) ride
-/// *inside* afd-stream's per-respawn retry budget, so one supervisor
-/// retry absorbs a worker listener that needs a moment to come back.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconnectPolicy {
-    /// Dial attempts before giving up (at least 1).
-    pub attempts: u32,
-    /// Sleep before the second attempt; doubles per attempt after.
-    pub initial_backoff: Duration,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-}
-
-impl Default for ReconnectPolicy {
-    fn default() -> Self {
-        ReconnectPolicy {
-            attempts: 8,
-            initial_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(250),
-        }
-    }
-}
 
 /// What one live TCP incarnation owns: the write half plus the reader
 /// thread decoding frames off a clone of the stream.
@@ -408,7 +351,7 @@ impl TcpIo {
             .map_err(|e| NetError::Connect(format!("clone stream to {addr}: {e}")))?;
         Ok(TcpIo {
             writer,
-            rx: FrameRx::spawn(read_half, "peer"),
+            rx: FrameRx::spawn(read_half),
         })
     }
 }
@@ -421,20 +364,24 @@ impl Drop for TcpIo {
     }
 }
 
-/// A framed channel over a TCP connection.
+/// A framed channel over a TCP connection, optionally to a worker
+/// process it launched itself.
 ///
-/// The address is retained, so [`Transport::reconnect`] redials it
-/// under the [`ReconnectPolicy`] — the TCP analogue of respawning a
-/// child. What that recovers: a dropped connection to a listener that
-/// is still (or again) accepting. What it cannot: a listener that never
-/// comes back within the backoff schedule — that surfaces as
-/// [`NetError::Connect`] and, through afd-stream's retry budget,
-/// eventually poisons the session like an unspawnable worker would.
+/// [`Transport::reconnect`] first relaunches a spawned worker that has
+/// exited, then redials with exponential backoff (8 attempts, ~0.8 s). What that recovers: a dropped connection,
+/// a listener that is still (or again) accepting, a killed local
+/// worker. What it cannot: a dialed listener that never comes back, or
+/// a worker that will not relaunch — that surfaces as
+/// [`NetError::Connect`]/[`NetError::Spawn`] and, through afd-stream's
+/// retry budget, eventually poisons the session.
 #[derive(Debug)]
 pub struct TcpTransport {
     addr: SocketAddr,
-    policy: ReconnectPolicy,
     io: Option<TcpIo>,
+    /// The local worker behind `addr`, when this transport launched it.
+    worker: Option<WorkerProcess>,
+    /// The worker's stderr line count at the last `send`.
+    mark: u64,
 }
 
 impl TcpTransport {
@@ -446,21 +393,37 @@ impl TcpTransport {
         let addr = parse_listen_addr(addr)?;
         Ok(TcpTransport {
             addr,
-            policy: ReconnectPolicy::default(),
             io: Some(TcpIo::open(addr)?),
+            worker: None,
+            mark: 0,
         })
     }
 
-    /// Overrides the redial schedule.
-    #[must_use]
-    pub fn with_policy(mut self, policy: ReconnectPolicy) -> Self {
-        self.policy = policy;
-        self
+    /// Launches a local worker ([`WorkerProcess::launch`]) and dials it.
+    /// The transport owns the child: its stderr tail rides on
+    /// [`Transport::diagnostics`], and dropping the transport kills it.
+    ///
+    /// # Errors
+    /// [`NetError::Spawn`] when the worker does not come up;
+    /// [`NetError::Connect`] when its address cannot be dialed.
+    pub fn spawn(cmd: &WorkerCommand) -> Result<Self, NetError> {
+        let worker = WorkerProcess::launch(cmd)?;
+        Ok(TcpTransport {
+            addr: worker.addr(),
+            io: Some(TcpIo::open(worker.addr())?),
+            worker: Some(worker),
+            mark: 0,
+        })
     }
 
     /// The peer address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The worker this transport launched, if it did.
+    pub fn worker_mut(&mut self) -> Option<&mut WorkerProcess> {
+        self.worker.as_mut()
     }
 
     /// Drops the connection without redialing — the test hook that
@@ -474,6 +437,9 @@ impl TcpTransport {
 
 impl Transport for TcpTransport {
     fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+        if let Some(worker) = &self.worker {
+            self.mark = worker.stderr.state().seen;
+        }
         match self.io.as_mut() {
             None => Err(NetError::Write(format!("not connected to {}", self.addr))),
             Some(io) => io
@@ -493,13 +459,16 @@ impl Transport for TcpTransport {
 
     fn reconnect(&mut self) -> Result<(), NetError> {
         self.io = None;
-        let mut backoff = self.policy.initial_backoff;
-        let mut last = String::from("no attempts configured");
-        let attempts = self.policy.attempts.max(1);
-        for attempt in 0..attempts {
+        if let Some(worker) = &mut self.worker {
+            worker.relaunch_if_exited()?;
+            self.addr = worker.addr();
+        }
+        let mut backoff = INITIAL_BACKOFF;
+        let mut last = String::new();
+        for attempt in 0..RECONNECT_ATTEMPTS {
             if attempt > 0 {
                 std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(self.policy.max_backoff);
+                backoff = (backoff * 2).min(MAX_BACKOFF);
             }
             match TcpIo::open(self.addr) {
                 Ok(io) => {
@@ -510,7 +479,7 @@ impl Transport for TcpTransport {
             }
         }
         Err(NetError::Connect(format!(
-            "reconnect to {}: {attempts} attempt(s) failed, last: {last}",
+            "reconnect to {}: {RECONNECT_ATTEMPTS} attempt(s) failed, last: {last}",
             self.addr
         )))
     }
@@ -519,9 +488,22 @@ impl Transport for TcpTransport {
         true
     }
 
+    /// A spawned worker's stderr tail. When the peer likely died, waits
+    /// up to 250 ms until the worker exits or writes a line after the
+    /// last `send` (a listener outlives the session it ended, but
+    /// announces the failure on stderr before closing the socket).
+    fn diagnostics(&mut self, likely_dead: bool) -> Vec<String> {
+        match &self.worker {
+            Some(worker) => worker.stderr.lines(likely_dead.then_some(self.mark)),
+            None => Vec::new(),
+        }
+    }
+
     fn finish(&mut self, _deadline: Duration) -> Result<(), NetError> {
-        if let Some(io) = self.io.take() {
-            drop(io);
+        self.io = None;
+        if let Some(worker) = &mut self.worker {
+            // A listener serves until killed; its session just ended.
+            worker.kill();
         }
         Ok(())
     }
@@ -647,16 +629,10 @@ mod tests {
             l.local_addr().unwrap()
         };
         let (live, handle) = echo_listener();
-        let mut t = TcpTransport::connect(&live.to_string())
-            .unwrap()
-            .with_policy(ReconnectPolicy {
-                attempts: 3,
-                initial_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
-            });
+        let mut t = TcpTransport::connect(&live.to_string()).unwrap();
         t.addr = addr; // Redirect reconnects at the dead port.
         match t.reconnect() {
-            Err(NetError::Connect(msg)) => assert!(msg.contains("3 attempt(s)"), "{msg}"),
+            Err(NetError::Connect(msg)) => assert!(msg.contains("8 attempt(s)"), "{msg}"),
             other => panic!("expected connect error, got {other:?}"),
         }
         drop(t);
@@ -679,11 +655,26 @@ mod tests {
     }
 
     #[test]
-    fn stdio_spawn_failure_is_typed() {
-        let cmd = WorkerCommand::new("/definitely/not/a/binary");
-        match StdioTransport::launch(&cmd) {
-            Err(NetError::Spawn(_)) => {}
-            other => panic!("expected spawn error, got {other:?}"),
+    fn spawn_failure_is_typed() {
+        // No such program; one that exits silently; one whose first
+        // line is not the announcement (`echo` prints its arguments).
+        for program in ["/definitely/not/a/binary", "true", "echo"] {
+            match TcpTransport::spawn(&WorkerCommand::new(program)) {
+                Err(NetError::Spawn(_)) => {}
+                other => panic!("{program}: expected spawn error, got {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn stderr_tail_wait_is_bounded_and_ends_when_the_pipe_closes() {
+        let tail = StderrTail::default();
+        let start = std::time::Instant::now();
+        assert!(tail.lines(Some(0)).is_empty());
+        assert!(start.elapsed() >= DIAGNOSTICS_WAIT);
+        tail.state().closed = true;
+        let start = std::time::Instant::now();
+        assert!(tail.lines(Some(0)).is_empty());
+        assert!(start.elapsed() < DIAGNOSTICS_WAIT);
     }
 }

@@ -4,24 +4,27 @@
 //! The coordinator ([`crate::ShardedSession`]) only ever talks to shards
 //! through [`ShardBackend`] — subscribe, apply a routed delta slice,
 //! read the candidate's [`IncTable`] merge input and Y side keys, take a
-//! snapshot, compact. Three topologies exist:
+//! snapshot, compact. Two topologies exist:
 //!
 //! * [`InProcShard`] — a [`StreamSession`] in the coordinator's address
 //!   space (the original topology; zero overhead).
 //! * [`RemoteShard`] — a worker session on the far side of an `afd-net`
 //!   [`Transport`], speaking the checksummed `afd-wire` protocol.
-//!   [`ProcessShard`] (= `RemoteShard<StdioTransport>`) is an
-//!   `afd shard-worker` **child process** over stdin/stdout;
 //!   [`TcpShard`] (= `RemoteShard<TcpTransport>`) is an
-//!   `afd shard-worker --listen` session over a **TCP connection**,
-//!   possibly on another machine. The coordinator keeps a mirror of the
-//!   worker's per-candidate [`IncTable`]s and Y keys; after every
-//!   mutating request the worker ships a [`StatePatch`] of just the
-//!   groups and columns the request touched, which the coordinator
-//!   applies and checks against the worker's scalar aggregates, then
-//!   merges via [`IncTable::merge`] — **bit-identical** to the
-//!   in-process path (every carried value is an integer), at O(delta)
-//!   per apply rather than O(state).
+//!   `afd shard-worker --listen` session over a **TCP connection**:
+//!   either a local worker process the shard launched itself
+//!   ([`TcpShard::spawn`]) or a listener dialed by address, possibly on
+//!   another machine ([`TcpShard::connect`]). The coordinator keeps a
+//!   mirror of the worker's per-candidate [`IncTable`]s and Y keys;
+//!   after every mutating request the worker ships a [`StatePatch`] of
+//!   just the groups and columns the request touched, which the
+//!   coordinator applies and checks against the worker's scalar
+//!   aggregates, then merges via [`IncTable::merge`] — **bit-identical**
+//!   to the in-process path (every carried value is an integer), at
+//!   O(delta) per apply rather than O(state).
+//!
+//! Mixed topologies go through `Box<dyn ShardBackend>`, which is itself
+//! a [`ShardBackend`]; that is what `AfdEngine` holds.
 //!
 //! # Fault model and the recovery lifecycle
 //!
@@ -33,28 +36,26 @@
 //!   worker that stops answering surfaces as a typed
 //!   [`TransportError`] ([`TransportErrorKind::Timeout`]) instead of a
 //!   coordinator stuck in `read(2)` forever.
-//! * The stdio worker's **stderr is captured** (piped, ring-buffered);
+//! * A spawned worker's **stderr is captured** (piped, ring-buffered);
 //!   its last lines ride along on every [`TransportError`], so a worker
-//!   panic is diagnosable from the coordinator's error.
+//!   panic or injected fault is diagnosable from the coordinator's error.
 //! * Backends that report [`ShardBackend::supports_recovery`] can be
 //!   [`respawn`](ShardBackend::respawn)ed: the supervisor in
 //!   [`crate::ShardedSession`] tears the incarnation down, brings up a
-//!   fresh one (relaunch the child; **redial with backoff** over TCP),
-//!   restores the shard's last checkpoint, replays the post-checkpoint
-//!   delta log, and retries the in-flight request — see
-//!   [`crate::RecoveryConfig`] for the cadence/budget knobs. The
-//!   supervisor path is identical across transports; only what
-//!   "respawn" means differs.
+//!   fresh one (relaunch the worker if it exited, then **redial with
+//!   backoff**), restores the shard's last checkpoint, replays the
+//!   post-checkpoint delta log, and retries the in-flight request — see
+//!   [`crate::RecoveryConfig`] for the cadence/budget knobs.
 //! * Poisoning still happens, but only as the *last* resort: when the
-//!   retry budget is exhausted (over TCP: the listener never came
-//!   back), when a backend cannot be respawned, or when a non-transport
-//!   invariant breaks mid-fan-out. A poisoned session keeps serving its
-//!   last consistent reads and refuses mutation with
+//!   retry budget is exhausted (the listener never came back, the worker
+//!   will not relaunch), when a backend cannot be respawned, or when a
+//!   non-transport invariant breaks mid-fan-out. A poisoned session
+//!   keeps serving its last consistent reads and refuses mutation with
 //!   [`StreamError::Poisoned`].
 
 use std::time::Duration;
 
-use afd_net::{NetError, StdioTransport, TcpTransport, Transport};
+use afd_net::{NetError, TcpTransport, Transport};
 use afd_relation::{Fd, Relation, Schema, Value};
 use afd_wire::encode_framed;
 
@@ -132,9 +133,9 @@ pub trait ShardBackend: Send {
     }
 
     /// Replaces the backend with a fresh, empty incarnation (for
-    /// [`ProcessShard`]: kill the old child, spawn and re-init a new
-    /// one; for [`TcpShard`]: redial the listener with backoff). The
-    /// caller owns restoring the shard's state afterwards.
+    /// [`TcpShard`]: relaunch a spawned worker that exited, redial with
+    /// backoff, and re-init the session). The caller owns restoring the
+    /// shard's state afterwards.
     ///
     /// # Errors
     /// [`StreamError::Transport`] when respawning is unsupported or the
@@ -151,7 +152,7 @@ pub trait ShardBackend: Send {
     ///
     /// # Errors
     /// [`StreamError::Transport`] when the worker did not acknowledge
-    /// or exit in time (a stdio child is still killed on drop).
+    /// in time (a spawned worker is still killed on drop).
     fn shutdown(&mut self) -> Result<(), StreamError> {
         Ok(())
     }
@@ -245,7 +246,7 @@ fn net_kind(e: NetError) -> TransportErrorKind {
 /// that differ from the worker's) is a [`TransportErrorKind::Decode`]
 /// failure: the supervisor respawns the worker and restores it, which
 /// resyncs the mirror from empty. The transport retains its recipe
-/// (spawn command / socket address), so the supervisor can
+/// (worker command, socket address), so the supervisor can
 /// [`respawn`](ShardBackend::respawn) a failed incarnation.
 #[derive(Debug)]
 pub struct RemoteShard<T: Transport> {
@@ -269,9 +270,6 @@ struct Mirror {
     /// Y side keys in side-id order (dense, `0..n`).
     y_keys: Vec<Vec<Value>>,
 }
-
-/// A shard in an `afd shard-worker` child process over stdin/stdout.
-pub type ProcessShard = RemoteShard<StdioTransport>;
 
 /// A shard served by an `afd shard-worker --listen` process over TCP.
 pub type TcpShard = RemoteShard<TcpTransport>;
@@ -298,18 +296,12 @@ impl<T: Transport> RemoteShard<T> {
         }
     }
 
-    /// The underlying transport (tests reach through for fault hooks).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
     /// Builds the typed transport error for a failed protocol step:
-    /// shard attribution plus the transport's diagnostics (the worker
-    /// stderr tail over stdio). A worker whose output fails verification
-    /// is as lost as one whose pipe broke, and typically exits right
-    /// after writing it, so the diagnostics wait for its exit in both
-    /// cases: stderr it wrote just before failing is then always in the
-    /// tail.
+    /// shard attribution plus the transport's diagnostics (a spawned
+    /// worker's stderr tail). A worker whose output fails verification
+    /// is as lost as one whose connection broke, and announces either on
+    /// stderr before closing the socket, so the diagnostics wait for
+    /// that line in both cases: it is then always in the tail.
     fn fail(&mut self, kind: TransportErrorKind) -> StreamError {
         let worker_died = matches!(
             kind,
@@ -443,65 +435,78 @@ impl<T: Transport> RemoteShard<T> {
     }
 }
 
-impl ProcessShard {
-    /// Spawns one worker and initialises its session over `schema`.
-    ///
-    /// # Errors
-    /// [`StreamError::Transport`] when the program cannot be spawned or
-    /// the Init handshake fails (or times out).
-    pub fn spawn(cmd: &WorkerCommand, schema: &Schema) -> Result<Self, StreamError> {
-        // Strip the fault-injection hook before any respawn so an
-        // injected fault fires at most once per plan, not once per
-        // incarnation.
-        let transport = StdioTransport::launch(cmd)
-            .map_err(|e| StreamError::Transport(TransportError::of_kind(net_kind(e))))?
-            .strip_env_on_reconnect(AFD_WORKER_FAULTS_ENV);
-        Self::from_transport(transport, schema)
-    }
-
-    /// The worker's process id (fault-injection tests kill it by pid).
-    pub fn pid(&self) -> u32 {
-        self.transport.pid()
-    }
-
-    /// Kills the worker outright — the fault every transport error path
-    /// must survive. Used by tests; a killed shard's next request
-    /// returns [`StreamError::Transport`] (and a recovery-enabled
-    /// session respawns it).
-    pub fn kill(&mut self) {
-        self.transport.kill();
-    }
-
-    /// Replaces the command future respawns use. The running worker is
-    /// untouched; fault tests point this at a broken program to make
-    /// every recovery attempt fail and exhaust the retry budget.
-    pub fn set_command(&mut self, cmd: WorkerCommand) {
-        self.transport.set_command(cmd);
-    }
+/// A failed dial or launch, before any shard exists to attribute it to.
+fn spawn_err(e: NetError) -> StreamError {
+    StreamError::Transport(TransportError::of_kind(net_kind(e)))
 }
 
 impl TcpShard {
+    /// Launches one local `afd shard-worker --listen 127.0.0.1:0` from
+    /// `cmd`, dials the address it announces and initialises a session
+    /// over `schema`. The shard owns the worker: respawns relaunch it if
+    /// it exited, and dropping the shard kills it.
+    ///
+    /// # Errors
+    /// [`StreamError::Transport`] when the worker cannot be launched or
+    /// never announces its address within the deadline
+    /// ([`TransportErrorKind::Spawn`]), or fails the Init handshake.
+    pub fn spawn(cmd: &WorkerCommand, schema: &Schema) -> Result<Self, StreamError> {
+        let mut shard = Self::handshake(TcpTransport::spawn(cmd).map_err(spawn_err)?, schema)?;
+        // Strip the fault-injection hook before any relaunch so an
+        // injected fault fires at most once per plan, not once per
+        // incarnation.
+        let mut relaunch = cmd.clone();
+        relaunch.remove_env(AFD_WORKER_FAULTS_ENV);
+        shard.set_command(relaunch);
+        Ok(shard)
+    }
+
     /// Dials an `afd shard-worker --listen` address and initialises a
     /// worker session over `schema`.
     ///
     /// # Errors
     /// [`StreamError::Transport`] when the address is malformed, nobody
-    /// accepts, or the Init handshake fails. A peer that closes or resets
-    /// the connection before answering Init never came up as a worker, so
-    /// that is a [`TransportErrorKind::Spawn`] failure like a refused
-    /// dial, not a mid-session read or write fault.
+    /// accepts, or the Init handshake fails.
     pub fn connect(addr: &str, schema: &Schema) -> Result<Self, StreamError> {
-        let transport = TcpTransport::connect(addr)
-            .map_err(|e| StreamError::Transport(TransportError::of_kind(net_kind(e))))?;
+        Self::handshake(TcpTransport::connect(addr).map_err(spawn_err)?, schema)
+    }
+
+    /// The Init handshake. A peer that closes or resets the connection
+    /// before answering Init never came up as a worker, so that is a
+    /// [`TransportErrorKind::Spawn`] failure like a refused dial, not a
+    /// mid-session read or write fault.
+    fn handshake(transport: TcpTransport, schema: &Schema) -> Result<Self, StreamError> {
+        let peer = transport.peer();
         Self::from_transport(transport, schema).map_err(|e| match e {
             StreamError::Transport(mut te) => {
                 if let TransportErrorKind::Read(m) | TransportErrorKind::Write(m) = &te.kind {
-                    te.kind = TransportErrorKind::Spawn(format!("handshake with {addr}: {m}"));
+                    te.kind = TransportErrorKind::Spawn(format!("handshake with {peer}: {m}"));
                 }
                 StreamError::Transport(te)
             }
             other => other,
         })
+    }
+
+    /// Kills the spawned worker outright — the fault every transport
+    /// error path must survive. A killed shard's next request returns
+    /// [`StreamError::Transport`] (and a recovery-enabled session
+    /// relaunches it). A dialed listener is not this shard's to kill:
+    /// the call does nothing.
+    pub fn kill(&mut self) {
+        if let Some(worker) = self.transport.worker_mut() {
+            worker.kill();
+        }
+    }
+
+    /// Replaces the command relaunches of the spawned worker use. The
+    /// running worker is untouched; fault tests point this at a broken
+    /// program to make every recovery attempt fail and exhaust the
+    /// retry budget.
+    pub fn set_command(&mut self, cmd: WorkerCommand) {
+        if let Some(worker) = self.transport.worker_mut() {
+            worker.set_command(cmd);
+        }
     }
 
     /// Drops the connection without redialing — the test hook that
@@ -576,9 +581,7 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
 
     fn respawn(&mut self) -> Result<(), StreamError> {
         if let Err(e) = self.transport.reconnect() {
-            let mut te = TransportError::of_kind(net_kind(e));
-            te.shard = self.shard_index;
-            return Err(StreamError::Transport(te));
+            return Err(self.fail_net(e));
         }
         self.n_live = 0;
         self.generation = Some(0);
@@ -610,8 +613,8 @@ impl<T: Transport> ShardBackend for RemoteShard<T> {
 impl<T: Transport> Drop for RemoteShard<T> {
     fn drop(&mut self) {
         // Best-effort graceful exit: ask, then let the transport's drop
-        // close the channel (a stdio child is killed and reaped; a TCP
-        // worker sees EOF and ends its session).
+        // close the channel (the worker sees EOF and ends its session;
+        // a spawned worker is then killed and reaped).
         if let Ok(frame) = encode_framed(KIND_REQUEST, &WorkerRequestRef::Shutdown) {
             let _ = self.transport.send(&frame);
         }
@@ -620,113 +623,64 @@ impl<T: Transport> Drop for RemoteShard<T> {
 
 // ------------------------------------------------------------- dispatch
 
-/// Runtime-selected backend — what `AfdEngine` holds when the topology
-/// is a configuration choice rather than a compile-time one.
-#[derive(Debug)]
-pub enum AnyShard {
-    /// An in-process shard.
-    InProc(InProcShard),
-    /// An out-of-process worker over stdin/stdout.
-    Process(ProcessShard),
-    /// A worker on the far side of a TCP connection.
-    Tcp(TcpShard),
-}
-
-impl ShardBackend for AnyShard {
+/// Runtime-selected backends: a boxed shard is a shard, so
+/// `ShardedSession<Box<dyn ShardBackend>>` mixes topologies picked by
+/// configuration (what `AfdEngine` holds).
+impl<B: ShardBackend + ?Sized> ShardBackend for Box<B> {
     fn subscribe(&mut self, fd: &Fd) -> Result<usize, StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.subscribe(fd),
-            AnyShard::Process(s) => s.subscribe(fd),
-            AnyShard::Tcp(s) => s.subscribe(fd),
-        }
+        (**self).subscribe(fd)
     }
 
     fn apply(&mut self, delta: &RowDelta) -> Result<(), StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.apply(delta),
-            AnyShard::Process(s) => s.apply(delta),
-            AnyShard::Tcp(s) => s.apply(delta),
-        }
+        (**self).apply(delta)
     }
 
     fn table(&self, cid: usize) -> &IncTable {
-        match self {
-            AnyShard::InProc(s) => s.table(cid),
-            AnyShard::Process(s) => s.table(cid),
-            AnyShard::Tcp(s) => s.table(cid),
-        }
+        (**self).table(cid)
     }
 
     fn n_live(&self) -> usize {
-        match self {
-            AnyShard::InProc(s) => s.n_live(),
-            AnyShard::Process(s) => s.n_live(),
-            AnyShard::Tcp(s) => s.n_live(),
-        }
+        (**self).n_live()
     }
 
     fn n_y_side_ids(&self, cid: usize) -> usize {
-        match self {
-            AnyShard::InProc(s) => s.n_y_side_ids(cid),
-            AnyShard::Process(s) => s.n_y_side_ids(cid),
-            AnyShard::Tcp(s) => s.n_y_side_ids(cid),
-        }
+        (**self).n_y_side_ids(cid)
     }
 
     fn y_side_values(&self, cid: usize, id: u32) -> Vec<Value> {
-        match self {
-            AnyShard::InProc(s) => s.y_side_values(cid, id),
-            AnyShard::Process(s) => s.y_side_values(cid, id),
-            AnyShard::Tcp(s) => s.y_side_values(cid, id),
-        }
+        (**self).y_side_values(cid, id)
     }
 
     fn snapshot(&mut self) -> Result<Relation, StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.snapshot(),
-            AnyShard::Process(s) => s.snapshot(),
-            AnyShard::Tcp(s) => s.snapshot(),
-        }
+        (**self).snapshot()
     }
 
     fn compact(&mut self) -> Result<CompactionReport, StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.compact(),
-            AnyShard::Process(s) => s.compact(),
-            AnyShard::Tcp(s) => s.compact(),
-        }
+        (**self).compact()
     }
 
     fn configure(&mut self, shard_index: u32, deadline: Duration) {
-        match self {
-            AnyShard::InProc(s) => s.configure(shard_index, deadline),
-            AnyShard::Process(s) => s.configure(shard_index, deadline),
-            AnyShard::Tcp(s) => s.configure(shard_index, deadline),
-        }
+        (**self).configure(shard_index, deadline);
     }
 
     fn supports_recovery(&self) -> bool {
-        match self {
-            AnyShard::InProc(s) => s.supports_recovery(),
-            AnyShard::Process(s) => s.supports_recovery(),
-            AnyShard::Tcp(s) => s.supports_recovery(),
-        }
+        (**self).supports_recovery()
     }
 
     fn respawn(&mut self) -> Result<(), StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.respawn(),
-            AnyShard::Process(s) => s.respawn(),
-            AnyShard::Tcp(s) => s.respawn(),
-        }
+        (**self).respawn()
     }
 
     fn shutdown(&mut self) -> Result<(), StreamError> {
-        match self {
-            AnyShard::InProc(s) => s.shutdown(),
-            AnyShard::Process(s) => s.shutdown(),
-            AnyShard::Tcp(s) => s.shutdown(),
-        }
+        (**self).shutdown()
+    }
+}
+
+impl std::fmt::Debug for dyn ShardBackend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardBackend")
+            .field("n_live", &self.n_live())
+            .finish_non_exhaustive()
     }
 }
 
@@ -767,12 +721,47 @@ mod tests {
     fn spawn_failure_is_typed() {
         let cmd = WorkerCommand::new("/definitely/not/a/binary");
         let schema = Schema::new(["X", "Y"]).unwrap();
-        match ProcessShard::spawn(&cmd, &schema) {
+        match TcpShard::spawn(&cmd, &schema) {
             Err(StreamError::Transport(te)) => {
                 assert!(matches!(te.kind, TransportErrorKind::Spawn(_)));
             }
             other => panic!("expected spawn transport error, got {other:?}"),
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn worker_that_never_announces_fails_fast_as_spawn() {
+        let dir = std::env::temp_dir().join(format!("afd-announce-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let schema = Schema::new(["X", "Y"]).unwrap();
+        for (name, body) in [
+            ("silent", "exec sleep 60"),
+            ("wrong-line", "echo hello; exec sleep 60"),
+            ("quits", "exit 3"),
+        ] {
+            let script = dir.join(name);
+            // A child shell writes the script, so no descriptor of this
+            // multi-threaded test process holds it open for writing when
+            // it is executed (ETXTBSY).
+            let made = std::process::Command::new("sh")
+                .arg("-c")
+                .arg(r#"printf '#!/bin/sh\n%s\n' "$1" > "$2" && chmod +x "$2""#)
+                .args(["sh", body, script.to_str().unwrap()])
+                .status()
+                .unwrap();
+            assert!(made.success());
+            let start = std::time::Instant::now();
+            match TcpShard::spawn(&WorkerCommand::new(&script), &schema) {
+                Err(StreamError::Transport(te)) => {
+                    assert!(matches!(te.kind, TransportErrorKind::Spawn(_)), "{te:?}");
+                }
+                other => panic!("{name}: expected a spawn error, got {other:?}"),
+            }
+            // The 5 s announcement deadline, not the script's 60 s sleep.
+            assert!(start.elapsed() < Duration::from_secs(20), "{name} hung");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -950,10 +939,5 @@ mod tests {
             &apply_patches(vec![state_patch(2, false, 0, patch)])[0],
             "scalar check failed",
         );
-    }
-
-    #[test]
-    fn sibling_binary_misses_cleanly() {
-        assert!(WorkerCommand::sibling_binary("no-such-binary-here").is_none());
     }
 }

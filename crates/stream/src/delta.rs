@@ -123,7 +123,7 @@ impl<'a> ChurnPlanner<'a> {
     }
 }
 
-/// A structured transport failure of a process-backed shard: *which*
+/// A structured transport failure of a remote shard: *which*
 /// shard, *which* protocol step, and the worker's last stderr lines.
 ///
 /// This replaces the old free-form `Transport(String)`: the supervisor
@@ -145,12 +145,13 @@ pub struct TransportError {
 /// The protocol step a [`TransportError`] failed at.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TransportErrorKind {
-    /// The worker process could not be spawned (or respawned).
+    /// The worker could not be launched, dialed or handshaken (or
+    /// brought back on respawn).
     Spawn(String),
-    /// Writing a request frame to the worker's stdin failed.
+    /// Writing a request frame to the worker's connection failed.
     Write(String),
-    /// Reading a response failed: the pipe closed mid-frame or errored
-    /// (a killed or crashed worker surfaces here).
+    /// Reading a response failed: the connection closed mid-frame or
+    /// errored (a killed or crashed worker surfaces here).
     Read(String),
     /// The worker did not answer within the request deadline — a hung
     /// worker is indistinguishable from a dead one past this point.
@@ -269,8 +270,8 @@ pub enum StreamError {
     /// Compaction found a divergence between the incremental state and a
     /// batch rebuild — an engine bug surfaced loudly rather than served.
     Diverged(String),
-    /// A process-backed shard's transport failed: the worker died or
-    /// hung, its pipe closed mid-frame, or its bytes failed frame/codec
+    /// A remote shard's transport failed: the worker died or hung, its
+    /// connection closed mid-frame, or its bytes failed frame/codec
     /// verification. Recovery-enabled sessions respawn and replay the
     /// shard transparently; this error surfaces only once the retry
     /// budget is exhausted (or the backend cannot be respawned).

@@ -10,8 +10,9 @@
 //! * [`AFD_WORKER_FAULTS_ENV`] — the worker-side hook: a real
 //!   `afd shard-worker` process reads this environment variable and
 //!   misbehaves accordingly, so integration tests inject faults into
-//!   genuine child processes. The supervisor strips the variable on
-//!   respawn, so a fault fires once per plan, not once per
+//!   genuine worker processes. A listener arms the fault on its first
+//!   connection only, and the supervisor strips the variable before
+//!   relaunching a worker, so a fault fires once per plan, not once per
 //!   incarnation.
 //! * [`FaultPlan`] — derives a single fault (site, kind, victim shard)
 //!   deterministically from a seed via the in-repo `rand`, so

@@ -44,9 +44,10 @@
 //!
 //! * [`InProcShard`] (default): a [`StreamSession`] in the coordinator's
 //!   address space, zero transport cost.
-//! * [`ProcessShard`]: an `afd shard-worker` **child process** (spawned
-//!   via [`WorkerCommand`]) speaking the `afd-wire` protocol over its
-//!   stdin/stdout. Every frame is length-prefixed, versioned and
+//! * [`TcpShard`]: an `afd shard-worker --listen` session speaking the
+//!   `afd-wire` protocol over TCP — a local worker process the shard
+//!   launches from a [`WorkerCommand`] and owns, or a listener dialed by
+//!   address. Every frame is length-prefixed, versioned and
 //!   FNV-checksummed. The coordinator mirrors each worker's
 //!   per-candidate [`IncTable`]s and value-level Y side keys; each
 //!   applied delta slice comes back as a [`wire::StatePatch`] of only
@@ -58,25 +59,26 @@
 //!   [`IncTable::merge`] as in-process shards; every carried value is an
 //!   integer, so the merged reads are **bit-identical** across backends
 //!   — pinned by a worker-over-pipes mirror proptest for N ∈ {1, 2, 3}
-//!   and by process-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`
+//!   and by worker-spawning proptests for N ∈ {1, 2, 4} (`crates/cli`
 //!   integration tests).
 //!
 //! ## Fault model: supervised recovery, deadlines, fault injection
 //!
-//! Failure is typed, never silent — and for process workers it is
+//! Failure is typed, never silent — and for remote workers it is
 //! **recovered**, not just reported. The coordinator keeps, per shard, a
 //! framed [`SessionSnapshot`] checkpoint (refreshed every
 //! [`RecoveryConfig::checkpoint_every`] applies) plus the encoded
 //! [`RowDelta`] log since it. When a request fails with a structured
 //! [`TransportError`] (spawn / write / read / timeout / decode, plus the
 //! shard index and the worker's last stderr lines), the supervisor
-//! respawns the worker, restores the checkpoint, replays the log and
-//! retries the in-flight request — both wire forms are canonical, so the
-//! recovered state is bit-identical by construction. Every request
-//! carries a deadline ([`RecoveryConfig::request_timeout_ms`], enforced
-//! by a per-worker reader thread), so a *hung* worker becomes a timeout
-//! feeding the same path; [`ShardedSession::recovery_report`] counts
-//! respawns and replayed deltas. Only after
+//! relaunches (if it exited) and redials the worker, restores the
+//! checkpoint, replays the log and retries the in-flight request — both
+//! wire forms are canonical, so the recovered state is bit-identical by
+//! construction. Every request carries a deadline
+//! ([`RecoveryConfig::request_timeout_ms`], enforced by a per-worker
+//! reader thread), so a *hung* worker becomes a timeout feeding the same
+//! path; [`ShardedSession::recovery_report`] counts respawns and
+//! replayed deltas. Only after
 //! [`RecoveryConfig::retry_budget`] failed attempts (with exponential
 //! backoff) — or for backends that cannot respawn — does the session
 //! *poison* ([`StreamError::Poisoned`]): score reads keep serving the
@@ -102,7 +104,7 @@
 //! one remapped `u32` code per cell — O(rows) code copies like
 //! `Relation::filter_rows`, no per-row `Value` round-trips.
 //! `cargo run --release -p afd-bench --example record_wire` records the
-//! codec throughput and the process-backend apply overhead in
+//! codec throughput and the spawned-worker apply overhead in
 //! `BENCH_wire.json`.
 //!
 //! ```
@@ -133,8 +135,7 @@ pub mod wire;
 pub mod worker;
 
 pub use backend::{
-    AnyShard, InProcShard, ProcessShard, RemoteShard, ShardBackend, TcpShard, WorkerCommand,
-    DEFAULT_REQUEST_TIMEOUT,
+    InProcShard, RemoteShard, ShardBackend, TcpShard, WorkerCommand, DEFAULT_REQUEST_TIMEOUT,
 };
 pub use delta::{ChurnPlanner, RowDelta, RowId, StreamError, TransportError, TransportErrorKind};
 pub use fault::{ChaosShard, FaultPlan, WorkerFault, WorkerFaultKind, AFD_WORKER_FAULTS_ENV};
@@ -145,4 +146,4 @@ pub use session::{
 pub use shard::{DeltaRouter, ShardedSession};
 pub use table::{IncTable, StreamScores, TablePatch};
 pub use wire::{SessionSnapshot, SnapshotStats};
-pub use worker::{run_worker, run_worker_listener, run_worker_with_fault};
+pub use worker::{run_worker_listener, run_worker_with_fault};

@@ -116,7 +116,7 @@ pub struct ShutdownReport {
     /// How many shards were asked to exit.
     pub shards: usize,
     /// Shards that did not acknowledge the shutdown request within the
-    /// deadline (their processes are still killed on drop).
+    /// deadline (spawned workers are still killed on drop).
     pub stragglers: Vec<u32>,
 }
 

@@ -31,7 +31,7 @@ use afd_parallel::par_map_mut;
 use afd_relation::{AttrId, AttrSet, Column, Dictionary, Fd, Relation, Schema, Value, NULL_CODE};
 use afd_wire::{Decode as _, Encode as _};
 
-use crate::backend::{InProcShard, ProcessShard, ShardBackend, WorkerCommand};
+use crate::backend::{InProcShard, ShardBackend, TcpShard, WorkerCommand};
 use crate::delta::{RowDelta, RowId, StreamError, TransportError};
 use crate::recovery::{RecoveryConfig, RecoveryReport, ShardRecoveryStats, ShutdownReport};
 use crate::session::{CompactionReport, ScoreDiff};
@@ -402,9 +402,10 @@ struct ShardedCandidate {
 ///
 /// * `ShardedSession<InProcShard>` (the default) keeps every shard as a
 ///   [`crate::StreamSession`] in this process — the original topology.
-/// * `ShardedSession<ProcessShard>` (via [`ShardedSession::spawn`])
-///   drives one `afd shard-worker` child process per shard over the
-///   checksummed `afd-wire` stdin/stdout protocol: the coordinator
+/// * `ShardedSession<TcpShard>` (via [`ShardedSession::spawn`], or
+///   [`ShardedSession::with_backends`] over dialed listeners) drives one
+///   `afd shard-worker --listen` session per shard over the checksummed
+///   `afd-wire` protocol on TCP: the coordinator
 ///   routes encoded delta slices out, applies each worker's state patch
 ///   (the touched groups and columns only) to its mirror of the
 ///   worker's [`IncTable`]s, and merges through the existing
@@ -416,7 +417,7 @@ struct ShardedCandidate {
 /// merged scores. Because each shard's apply only touches its own
 /// O(delta-slice) state, the *work per shard* shrinks roughly 1/N — the
 /// quantity `record_shard` benchmarks (`record_wire` additionally
-/// records the process-backend transport overhead).
+/// records the spawned-worker transport overhead).
 #[derive(Debug, Clone)]
 pub struct ShardedSession<B: ShardBackend = InProcShard> {
     schema: Schema,
@@ -475,10 +476,10 @@ impl ShardedSession<InProcShard> {
     }
 }
 
-impl ShardedSession<ProcessShard> {
-    /// An empty **process-backed** sharded session: spawns one
-    /// `afd shard-worker` child per shard via `worker` and initialises
-    /// each over the wire.
+impl ShardedSession<TcpShard> {
+    /// An empty **worker-backed** sharded session: launches one local
+    /// `afd shard-worker --listen` child per shard via `worker`, dials
+    /// each and initialises it over the wire.
     ///
     /// # Errors
     /// [`StreamError::ShardConfig`] for zero workers or an out-of-schema
@@ -496,30 +497,16 @@ impl ShardedSession<ProcessShard> {
             ));
         }
         let shards = (0..n_shards)
-            .map(|_| ProcessShard::spawn(worker, &schema))
+            .map(|_| TcpShard::spawn(worker, &schema))
             .collect::<Result<Vec<_>, _>>()?;
         Self::with_backends(schema, shard_key, shards)
-    }
-
-    /// As [`ShardedSession::spawn`], seeding the workers with `rel`'s
-    /// rows (routed, in row order).
-    ///
-    /// # Errors
-    /// As [`ShardedSession::spawn`].
-    pub fn spawn_from_relation(
-        rel: Relation,
-        shard_key: AttrSet,
-        n_shards: usize,
-        worker: &WorkerCommand,
-    ) -> Result<Self, StreamError> {
-        Self::spawn(rel.schema().clone(), shard_key, n_shards, worker)?.seeded(&rel)
     }
 }
 
 impl<B: ShardBackend> ShardedSession<B> {
     /// A sharded session over caller-built backends (one per shard).
     /// This is the plug point: `AfdEngine` hands in
-    /// [`crate::AnyShard`]s picked by configuration.
+    /// `Box<dyn ShardBackend>`s picked by configuration.
     ///
     /// # Errors
     /// [`StreamError::ShardConfig`] for zero backends or an
@@ -698,7 +685,7 @@ impl<B: ShardBackend> ShardedSession<B> {
     }
 
     /// Direct access to one shard's backend — the fault-injection hook
-    /// (tests kill a [`ProcessShard`] here to exercise the transport
+    /// (tests kill a [`TcpShard`]'s worker here to exercise the transport
     /// error paths).
     pub fn backend_mut(&mut self, shard: usize) -> &mut B {
         &mut self.shards[shard]

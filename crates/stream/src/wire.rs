@@ -7,14 +7,14 @@
 //! exist:
 //!
 //! * [`KIND_REQUEST`] — a [`WorkerRequest`] from the coordinator to a
-//!   shard worker (over the worker's stdin);
-//! * [`KIND_RESPONSE`] — a [`WorkerResponse`] back (over its stdout);
+//!   shard worker (over its TCP connection);
+//! * [`KIND_RESPONSE`] — a [`WorkerResponse`] back;
 //! * [`KIND_SNAPSHOT`] — a persisted [`SessionSnapshot`] (the `afd save`
 //!   / `afd load` file format).
 //!
 //! The protocol is strict request/response: the coordinator writes one
-//! request frame and reads exactly one response frame, so worker stdout
-//! never interleaves. Every mutating response carries a [`StatePatch`]:
+//! request frame and reads exactly one response frame, so responses
+//! never interleave. Every mutating response carries a [`StatePatch`]:
 //! per candidate, the X groups and column totals the request touched,
 //! the Y side keys assigned since the previous reply and the worker's
 //! scalar aggregates as a check — O(touched), not O(state). The

@@ -1,14 +1,15 @@
 //! The shard-worker loop: one [`StreamSession`] driven by wire frames.
 //!
-//! `afd shard-worker` calls [`run_worker`] over its stdin/stdout; a
-//! [`crate::ProcessShard`] on the coordinator side speaks the other end.
-//! The loop is strict request/response — read one [`WorkerRequest`]
-//! frame, act, write exactly one [`WorkerResponse`] frame — and exits
-//! cleanly on `Shutdown` or a closed stdin (the coordinator dropping the
-//! shard). Request-level failures (an FD outside the schema, a
-//! compaction divergence) are *answered* as typed
+//! `afd shard-worker --listen ADDR` runs [`run_worker_listener`], which
+//! serves one [`run_worker_with_fault`] session per accepted connection;
+//! a [`crate::TcpShard`] on the coordinator side speaks the other end.
+//! A session is strict request/response — read one [`WorkerRequest`]
+//! frame, act, write exactly one [`WorkerResponse`] frame — and ends
+//! cleanly on `Shutdown` or a closed connection (the coordinator
+//! dropping the shard). Request-level failures (an FD outside the
+//! schema, a compaction divergence) are *answered* as typed
 //! [`WorkerResponse::Err`]s; only transport-level failures (corrupt
-//! frames, broken pipes) abort the worker.
+//! frames, broken connections) end the session.
 //!
 //! Every mutating reply carries a [`StatePatch`], not the session's
 //! whole state: the worker remembers how many Y keys its coordinator's
@@ -144,24 +145,9 @@ fn handle(worker: &mut Option<Worker>, req: WorkerRequest) -> WorkerResponse {
     }
 }
 
-/// Runs the worker loop until `Shutdown`, EOF on `input`, or a transport
-/// failure.
-///
-/// Inspects [`AFD_WORKER_FAULTS_ENV`] for an injected fault — the
-/// deterministic misbehaviour hook the recovery tests drive real child
-/// processes with (see [`crate::fault`]).
-///
-/// # Errors
-/// [`FrameReadError`] when a frame fails checksum/decode verification or
-/// the pipes break — request-level errors are answered in-band instead.
-pub fn run_worker(input: impl Read, output: impl Write) -> Result<(), FrameReadError> {
-    let fault = std::env::var(AFD_WORKER_FAULTS_ENV)
-        .ok()
-        .and_then(|spec| WorkerFault::parse(&spec));
-    run_worker_with_fault(input, output, fault)
-}
-
-/// [`run_worker`] with an explicit injected fault (`None` = behave).
+/// Runs one worker session until `Shutdown`, EOF on `input`, or a
+/// transport failure, with an optional injected fault (`None` = behave;
+/// see [`crate::fault`]).
 ///
 /// The fault fires while serving the `site`-th request (1-based,
 /// counting every request frame read): `Kill` exits without responding
@@ -172,7 +158,9 @@ pub fn run_worker(input: impl Read, output: impl Write) -> Result<(), FrameReadE
 /// attach.
 ///
 /// # Errors
-/// [`FrameReadError`] as for [`run_worker`].
+/// [`FrameReadError`] when a frame fails checksum/decode verification or
+/// the connection breaks — request-level errors are answered in-band
+/// instead.
 pub fn run_worker_with_fault(
     mut input: impl Read,
     mut output: impl Write,
@@ -240,16 +228,16 @@ pub fn run_worker_with_fault(
 /// stalled or mid-teardown session never blocks a supervisor's
 /// reconnect from being served).
 ///
-/// Connection = incarnation: a dropped connection ends its session
-/// exactly like a killed child process ends a stdio worker's, and the
-/// coordinator's respawn-restore-replay recovery applies unchanged —
-/// the fresh connection starts from `Init` and is rebuilt from the
-/// checkpoint + delta log.
+/// Connection = incarnation: a dropped connection ends its session, and
+/// the coordinator's reconnect-restore-replay recovery brings a fresh
+/// one back — the new connection starts from `Init` and is rebuilt from
+/// the checkpoint + delta log.
 ///
 /// Inspects [`AFD_WORKER_FAULTS_ENV`] **once** at entry and arms the
-/// fault on the *first* connection only, mirroring the stdio
-/// supervisor's strip-on-respawn rule: an injected fault fires at most
-/// once per plan, not once per incarnation.
+/// fault on the *first* connection only (and a coordinator relaunching
+/// a killed worker strips the variable): an injected fault fires at most
+/// once per plan, not once per incarnation. A session that ends on a
+/// transport failure announces it on stderr before its socket closes.
 ///
 /// Runs until the listener itself fails (callers that want to stop it
 /// kill the process; every session is connection-scoped).
@@ -257,17 +245,15 @@ pub fn run_worker_with_fault(
 /// # Errors
 /// The `accept(2)` failure that ended the loop.
 pub fn run_worker_listener(listener: std::net::TcpListener) -> std::io::Error {
-    let fault = std::sync::Mutex::new(
-        std::env::var(AFD_WORKER_FAULTS_ENV)
-            .ok()
-            .and_then(|spec| WorkerFault::parse(&spec)),
-    );
+    let mut fault = std::env::var(AFD_WORKER_FAULTS_ENV)
+        .ok()
+        .and_then(|spec| WorkerFault::parse(&spec));
     loop {
         let stream = match listener.accept() {
             Ok((stream, _peer)) => stream,
             Err(e) => return e,
         };
-        let fault = fault.lock().ok().and_then(|mut f| f.take());
+        let fault = fault.take();
         std::thread::spawn(move || {
             let _ = stream.set_nodelay(true);
             let Ok(read_half) = stream.try_clone() else {
@@ -275,7 +261,10 @@ pub fn run_worker_listener(listener: std::net::TcpListener) -> std::io::Error {
             };
             // Transport-level failures (the peer vanished, a corrupt
             // frame) end this session; the listener keeps accepting.
-            if let Err(e) = run_worker_with_fault(std::io::BufReader::new(read_half), stream, fault)
+            // `stream` outlives the announcement, so the line is on
+            // stderr before the peer sees the socket close.
+            if let Err(e) =
+                run_worker_with_fault(std::io::BufReader::new(read_half), &stream, fault)
             {
                 eprintln!("afd-worker: connection ended: {e}");
             }
@@ -299,7 +288,7 @@ mod tests {
             input.extend(encode_framed(KIND_REQUEST, req).unwrap());
         }
         let mut output = Vec::new();
-        run_worker(input.as_slice(), &mut output).expect("worker runs");
+        run_worker_with_fault(input.as_slice(), &mut output, None).expect("worker runs");
         let mut resps = Vec::new();
         let mut cursor = std::io::Cursor::new(output);
         while let StreamFrame::Frame(kind, payload) =
@@ -419,7 +408,7 @@ mod tests {
     fn eof_mid_stream_is_clean_exit_corrupt_frame_is_not() {
         // Clean EOF.
         let mut out = Vec::new();
-        run_worker(&[][..], &mut out).expect("empty stream is a clean exit");
+        run_worker_with_fault(&[][..], &mut out, None).expect("empty stream is a clean exit");
         assert!(out.is_empty());
         // Corrupt frame: typed transport failure.
         let mut frame = encode_framed(
@@ -430,7 +419,7 @@ mod tests {
         let mid = frame.len() / 2;
         frame[mid] ^= 0x10;
         let mut out = Vec::new();
-        assert!(run_worker(frame.as_slice(), &mut out).is_err());
+        assert!(run_worker_with_fault(frame.as_slice(), &mut out, None).is_err());
     }
 
     fn fault_script() -> Vec<u8> {

@@ -14,8 +14,8 @@ use afd_net::{NetError, Transport};
 use afd_relation::{AttrId, AttrSet, Fd, Relation, Schema, Value};
 use afd_stream::wire::{CandidatePatch, StatePatch, WorkerResponse, KIND_RESPONSE};
 use afd_stream::{
-    run_worker, IncTable, RemoteShard, RowDelta, ScoreDiff, SessionSnapshot, ShardBackend,
-    ShardedSession, StreamScores, StreamSession, TablePatch,
+    run_worker_with_fault, IncTable, RemoteShard, RowDelta, ScoreDiff, SessionSnapshot,
+    ShardBackend, ShardedSession, StreamScores, StreamSession, TablePatch,
 };
 use afd_wire::{
     decode_framed, encode_framed, read_frame_from, Decode, DecodeError, Encode, StreamFrame,
@@ -247,7 +247,7 @@ proptest! {
     }
 }
 
-/// A `run_worker` thread behind an in-memory socket pair: the worker
+/// A worker session thread behind an in-memory socket pair: the worker
 /// protocol with neither processes nor network.
 #[derive(Debug)]
 struct PipeTransport {
@@ -259,7 +259,7 @@ impl PipeTransport {
     fn spawn() -> Self {
         let (ours, theirs) = UnixStream::pair().expect("socket pair");
         let input = BufReader::new(theirs.try_clone().expect("clone"));
-        std::thread::spawn(move || run_worker(input, theirs));
+        std::thread::spawn(move || run_worker_with_fault(input, theirs, None));
         PipeTransport {
             rx: BufReader::new(ours.try_clone().expect("clone")),
             tx: ours,

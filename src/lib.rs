@@ -157,10 +157,11 @@
 //!
 //! The shards behind the streaming requests are **pluggable**
 //! ([`stream::ShardBackend`]): in-process sessions (default, zero
-//! transport cost) or `afd shard-worker` **child processes** —
+//! transport cost) or `afd shard-worker` **worker processes** —
 //! [`EngineConfig`]`::backend` picks
-//! ([`engine::StreamBackend::Process`]). The process topology rides
-//! [`wire`], a hand-rolled binary codec (no serde, no network stack —
+//! ([`engine::StreamBackend::Process`] launches one local worker per
+//! shard; [`engine::StreamBackend::Tcp`] dials listeners by address).
+//! Worker shards ride [`wire`], a hand-rolled binary codec (no serde —
 //! the build is offline):
 //!
 //! * **Framing**: every message travels as `AFDW` magic + version +
@@ -171,15 +172,16 @@
 //! * **Exactness**: everything is fixed-width little-endian, floats
 //!   travel as IEEE-754 bit patterns, and every value the shards ship
 //!   (the touched `IncTable` groups and column totals of a state patch)
-//!   is an integer — so a process-backed session's merged score reads
-//!   are **bit-identical**
-//!   to the in-process backend and the batch kernels (proptest-pinned
-//!   for N ∈ {1, 2, 4} worker processes).
+//!   is an integer — so a worker-backed session's merged score reads
+//!   are **bit-identical** to the in-process backend and the batch
+//!   kernels (proptest-pinned for N ∈ {1, 2, 4} spawned and dialed
+//!   workers).
 //! * **Fault model**: the shard fabric is **self-healing**. Every
 //!   coordinator→worker request carries a deadline, and a worker that
 //!   dies, corrupts a frame or stalls past it surfaces as a structured
 //!   [`stream::TransportError`] (step, shard, worker stderr tail) —
-//!   which the supervisor *recovers from*: respawn the worker, restore
+//!   which the supervisor *recovers from*: relaunch the worker if it
+//!   exited and redial it, restore
 //!   its per-shard checkpoint, replay the delta log since it, retry the
 //!   in-flight request (all canonical wire forms, so the healed shard is
 //!   bit-identical by construction; [`stream::RecoveryConfig`] sets the
@@ -200,28 +202,28 @@
 //!   per-row `Value` round-trips are gone).
 //!   `cargo run --release -p afd-bench --example record_wire` records
 //!   codec throughput (~GiB/s encode on the 65 536-row fixture) and the
-//!   process-backend apply overhead in `BENCH_wire.json`.
+//!   spawned-worker apply overhead in `BENCH_wire.json`.
 //!
 //! ### Sockets: TCP shard workers & the serve front door (`afd-net`)
 //!
-//! The same checksummed frames cross machines, not just pipes. [`net`]
-//! is a small transport crate (depends only on [`wire`], so the
-//! streaming and serving layers both build on it without cycles)
-//! exposing one [`net::Transport`] abstraction with two
-//! implementations: [`net::StdioTransport`] — the existing child
-//! process's stdin/stdout — and [`net::TcpTransport`] — a dialed TCP
-//! connection. `afd shard-worker --listen ADDR` serves the worker
-//! protocol over a socket (thread per connection, one session each),
-//! [`engine::StreamBackend::Tcp`] points a session's shards at such
-//! listeners, and the supervisor's heal path carries over unchanged:
-//! a severed connection is a typed transport error, `reconnect`
-//! redials with exponential backoff ([`net::ReconnectPolicy`] — the
-//! TCP analogue of respawning a child), and checkpoint-restore +
-//! replay make the healed shard bit-identical by construction
-//! (integration tests pin TCP topologies bit-identical to in-process
-//! and stdio ones for N ∈ {1, 2, 4}, through kills and stalls). Bad
-//! addresses are an [`AfdError::Config`] at the engine boundary, not a
-//! late dial failure.
+//! The checksummed frames travel over TCP, on loopback or across
+//! machines. [`net`] is a small transport crate (depends only on
+//! [`wire`], so the streaming and serving layers both build on it
+//! without cycles) exposing one [`net::Transport`] abstraction with one
+//! implementation, [`net::TcpTransport`]. `afd shard-worker --listen
+//! ADDR` serves the worker protocol over a socket (thread per
+//! connection, one session each). A transport either launches such a
+//! worker itself on `127.0.0.1:0` ([`net::WorkerProcess`]: it reads the
+//! announced port under a deadline and keeps the worker's stderr tail)
+//! or dials a listener by address. Either way the supervisor's heal
+//! path is the same: a killed worker or a severed connection is a typed
+//! transport error, `reconnect` relaunches an exited worker and redials
+//! with exponential backoff, and checkpoint-restore + replay make the
+//! healed shard bit-identical by construction (integration tests pin
+//! spawned and dialed topologies bit-identical to in-process ones for
+//! N ∈ {1, 2, 4}, through kills, corruption and stalls). Bad addresses
+//! are an [`AfdError::Config`] at the engine boundary, not a late dial
+//! failure.
 //!
 //! The serving layer gets a socket front door on the same frames:
 //! [`serve::ServeFront`] wraps an [`AfdServe`] in an accept loop
@@ -272,7 +274,7 @@
 //!   [`SessionSnapshot`] as `afd save`) and its engine torn down; the
 //!   next touch restores it transparently — into either
 //!   [`engine::StreamBackend`], so spilled sessions can wake up onto
-//!   process-backed shards. Restore is score-invisible: proptests pin
+//!   worker-backed shards. Restore is score-invisible: proptests pin
 //!   evict → restore → continue-applying **bit-identical**
 //!   (`f64::to_bits`) to a never-evicted twin, for both backends.
 //!
